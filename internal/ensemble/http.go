@@ -31,7 +31,17 @@ import (
 //	GET    /v1/healthz              liveness
 //
 // Status codes: 400 malformed or invalid request, 404 unknown member,
-// 409 member busy (e.g. concurrent advance), 429 member limit, 503 closed.
+// 409 member busy (e.g. concurrent advance), 413 body over MaxBodyBytes,
+// 429 member limit, 503 closed.
+
+// MaxBodyBytes caps every request body. The largest legitimate body is a
+// resume ticket: a paper-foam checkpoint gob is about 4.9 MB, so 64 MiB
+// leaves more than 10x headroom after base64 while bounding what one
+// request can make the daemon buffer.
+const MaxBodyBytes = 64 << 20
+
+// errTooLarge marks a request body over MaxBodyBytes (413).
+var errTooLarge = errors.New("request body too large")
 
 // CreateRequest creates a member. Preset picks a base configuration
 // ("reduced", the default, or "default" for the paper's full resolution);
@@ -101,6 +111,8 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrInvalid):
 		status = http.StatusBadRequest
+	case errors.Is(err, errTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrBusy):
@@ -113,11 +125,16 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
-// decodeBody parses a JSON request body. Unknown fields are tolerated so a
-// SnapshotResponse can be POSTed back verbatim as a CreateRequest (its
-// extra "info" field is ignored).
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+// decodeBody parses a JSON request body of at most MaxBodyBytes. Unknown
+// fields are tolerated so a SnapshotResponse can be POSTed back verbatim
+// as a CreateRequest (its extra "info" field is ignored).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return fmt.Errorf("%w: limit is %d bytes", errTooLarge, tooLarge.Limit)
+	case err != nil:
 		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return nil
@@ -155,7 +172,7 @@ func configFromRequest(req *CreateRequest) (core.Config, error) {
 
 func (h *handler) create(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -203,7 +220,7 @@ func (h *handler) delete(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) advance(w http.ResponseWriter, r *http.Request) {
 	var req AdvanceRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -294,7 +311,7 @@ func (h *handler) createScenario(w http.ResponseWriter, r *http.Request) {
 	var chk *core.Checkpoint
 	if r.ContentLength != 0 {
 		var req CreateRequest
-		if err := decodeBody(r, &req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}

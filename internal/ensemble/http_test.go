@@ -115,6 +115,44 @@ func TestHandlerTable(t *testing.T) {
 	}
 }
 
+// letterA is an endless reader of 'A' bytes (valid base64 padding-free
+// payload), for building large bodies without holding them in memory.
+type letterA struct{}
+
+func (letterA) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'A'
+	}
+	return len(p), nil
+}
+
+// TestHandlerBodyLimit pins the request-size bound: a create body one byte
+// over MaxBodyBytes is refused with 413, and the daemon keeps serving.
+func TestHandlerBodyLimit(t *testing.T) {
+	srv, _ := newTestServer(t, 1)
+	const prefix, suffix = `{"checkpoint":"`, `"}`
+	size := int64(ensemble.MaxBodyBytes + 1)
+	body := io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(letterA{}, size-int64(len(prefix)+len(suffix))),
+		strings.NewReader(suffix))
+	req, err := http.NewRequest("POST", srv.URL+"/v1/members", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = size
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if code := doJSON(t, srv, "GET", "/v1/healthz", "", nil); code != http.StatusOK {
+		t.Fatalf("healthz after oversized body: status %d", code)
+	}
+}
+
 // TestHandlerConcurrentAdvance pins the 409 contract: while one advance on
 // a member is in flight, a second advance on the same member fails with
 // StatusConflict and the first still completes.

@@ -12,41 +12,14 @@ import (
 // "spatial filter similar to the sort used in atmospheric models" of the
 // paper's Section 4.2.
 type rowFilter struct {
-	fft  *spectral.FFT
-	buf  []complex128
-	out  []complex128
-	row  []float64 // staging row for polarFilter
-	nlon int
+	fft *spectral.FFT
+	s   *spectral.FFTScratch
+	row []float64 // staging row for polarFilter
 }
 
 func newRowFilter(nlon int) *rowFilter {
-	return &rowFilter{
-		fft:  spectral.NewFFT(nlon),
-		buf:  make([]complex128, nlon),
-		out:  make([]complex128, nlon),
-		row:  make([]float64, nlon),
-		nlon: nlon,
-	}
-}
-
-// apply truncates a single row in place, keeping wavenumbers <= keep.
-// buf and out never alias, so the allocation-free FFT entry points apply.
-func (rf *rowFilter) apply(row []float64, keep int) {
-	n := rf.nlon
-	if keep >= n/2 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		rf.buf[i] = complex(row[i], 0)
-	}
-	rf.fft.ForwardInto(rf.out, rf.buf, nil)
-	for mIdx := keep + 1; mIdx <= n-keep-1; mIdx++ {
-		rf.out[mIdx] = 0
-	}
-	rf.fft.InverseInto(rf.buf, rf.out, nil)
-	for i := 0; i < n; i++ {
-		row[i] = real(rf.buf[i])
-	}
+	fft := spectral.NewFFT(nlon)
+	return &rowFilter{fft: fft, s: fft.NewScratch(), row: make([]float64, nlon)}
 }
 
 // polarFilter filters the prognostic fields on rows poleward of the
@@ -92,7 +65,7 @@ func (m *Model) polarFilter(rf *rowFilter, j0, j1 int) {
 					row[i] = mean
 				}
 			}
-			rf.apply(row, keep)
+			rf.fft.LowPassRealInto(row, keep, rf.s)
 			for i := 0; i < nlon; i++ {
 				c := j*nlon + i
 				if k < m.kmt[c] {

@@ -1,12 +1,17 @@
 package ocean
 
-import "testing"
+import (
+	"testing"
 
-// FuzzBlockRange checks the row-decomposition invariant for arbitrary
-// domain sizes and rank counts: the blocks must tile the interior rows
-// [1, nlat-1) exactly once, in order, with no gaps, overlaps, or
-// out-of-range rows — the property both the message-passing and the
-// shared-memory drivers rely on for bit-identical parallel stepping.
+	"foam/internal/pool"
+)
+
+// FuzzBlockRange checks the shared-memory driver's interior-row
+// decomposition for arbitrary domain sizes and worker counts: interior
+// phases run pool.Block over nlat-2 rows shifted by one, and the blocks
+// must tile the interior rows [1, nlat-1) exactly once, in order, with no
+// gaps, overlaps, or out-of-range rows — the property bit-identical
+// pooled stepping relies on.
 func FuzzBlockRange(f *testing.F) {
 	f.Add(32, 4)
 	f.Add(128, 7)
@@ -18,7 +23,8 @@ func FuzzBlockRange(f *testing.F) {
 		}
 		prev := 1
 		for r := 0; r < p; r++ {
-			j0, j1 := BlockRange(nlat, p, r)
+			lo, hi := pool.Block(nlat-2, r, p)
+			j0, j1 := 1+lo, 1+hi
 			if j0 != prev {
 				t.Fatalf("nlat=%d p=%d r=%d: block starts at %d, want %d", nlat, p, r, j0, prev)
 			}
@@ -34,4 +40,28 @@ func FuzzBlockRange(f *testing.F) {
 			t.Fatalf("nlat=%d p=%d: blocks end at %d, want %d", nlat, p, prev, nlat-1)
 		}
 	})
+}
+
+// TestBlockRangeCoversInterior is the table form of FuzzBlockRange: on a
+// 32-row grid every listed worker count gets non-empty blocks of interior
+// rows, and the blocks tile [1, nlat-1).
+func TestBlockRangeCoversInterior(t *testing.T) {
+	nlat := 32
+	for _, p := range []int{1, 2, 3, 5, 7} {
+		prev := 1
+		for r := 0; r < p; r++ {
+			lo, hi := pool.Block(nlat-2, r, p)
+			j0, j1 := 1+lo, 1+hi
+			if j0 != prev {
+				t.Fatalf("p=%d r=%d: gap at %d (j0=%d)", p, r, prev, j0)
+			}
+			if j1 <= j0 {
+				t.Fatalf("p=%d r=%d: empty block", p, r)
+			}
+			prev = j1
+		}
+		if prev != nlat-1 {
+			t.Fatalf("p=%d: blocks end at %d, want %d", p, prev, nlat-1)
+		}
+	}
 }

@@ -2,20 +2,14 @@ package ocean
 
 import "math"
 
-// syncFunc exchanges the boundary rows (j0-1 and j1) of the given fields
-// with the neighbouring owners. The serial driver passes nil; the parallel
-// driver wires it to halo exchange over mp.
-type syncFunc func(fields ...[]float64)
-
-// stepRows advances rows [j0,j1) one tracer interval. All reads reach at
-// most one row beyond the range per sync epoch; sync is called whenever
-// freshly written data must be visible across the block boundary.
-func (m *Model) stepRows(f *Forcing, j0, j1 int, sync syncFunc) {
+// stepRows advances rows [j0,j1) one tracer interval: the serial driver.
+// The shared-memory driver (shared.go) runs the same kernels as pooled
+// phases in the same order.
+func (m *Model) stepRows(f *Forcing, j0, j1 int) {
 	dt := m.cfg.DtTracer
 
 	// Ghost-extended ranges: column-local quantities are also computed on
-	// the halo rows so the parallel driver's ghosts match the owners
-	// bit-for-bit with two-deep halo exchanges (see parallel.go).
+	// the rows bordering [j0,j1), which the interior kernels read.
 	ge0 := max(j0-1, 0)
 	ge1 := min(j1+1, m.cfg.NLat)
 
@@ -36,13 +30,6 @@ func (m *Model) stepRows(f *Forcing, j0, j1 int, sync syncFunc) {
 	m.verticalMixing(m.mix, j0, j1, dt)
 	m.convectiveAdjust(j0, j1)
 	m.freezeClamp(j0, j1, dt)
-	if sync != nil {
-		sync(m.t...)
-		sync(m.s...)
-		sync(m.u...)
-		sync(m.v...)
-		sync(m.eta, m.ubt, m.vbt) // eta carries the freshwater volume source
-	}
 
 	// 3. Fast subcycles — the "fastest parts of the internal dynamics" of
 	// the paper's Section 4.2: the internal gravity-wave loop (velocity <-
@@ -64,24 +51,13 @@ func (m *Model) stepRows(f *Forcing, j0, j1 int, sync syncFunc) {
 			// The barotropic system runs on the fastest of the three time
 			// levels (paper Section 4.2).
 			for b := 0; b < nbaro; b++ {
-				m.barotropicStep(f, j0, j1, dtb, sync)
+				m.barotropicStep(f, j0, j1, dtb)
 			}
 			m.coupleBarotropic(j0, j1)
 		} else {
 			m.unsplitFreeSurface(f, j0, j1, dtf)
 		}
-		if sync != nil {
-			sync(m.u...)
-			sync(m.v...)
-		}
 		m.smoothVelocities(j0, j1)
-		if sync != nil {
-			sync(m.u...)
-			sync(m.v...)
-			sync(m.t...)
-			sync(m.s...)
-			sync(m.eta, m.ubt, m.vbt)
-		}
 	}
 
 	// 6. Polar filter keeps the converging-meridian rows stable.
@@ -329,8 +305,7 @@ func (m *Model) verticalVelocity(j0, j1 int) {
 func (m *Model) slowMomentum(f *Forcing, j0, j1 int) {
 	m.slowMomentumCells(f, j0, j1)
 	// Biharmonic friction as two Laplacian passes; the intermediate
-	// Laplacian is computed one row beyond the block so it needs no extra
-	// halo exchange.
+	// Laplacian is computed one row beyond the block.
 	if !m.cfg.NoBiharmonic {
 		m.biharmonic(m.scr, j0, j1)
 	}
@@ -470,8 +445,8 @@ func (m *Model) biharmonic(lap []float64, j0, j1 int) {
 			tend []float64
 		}{{m.u[k], m.slowU[k]}, {m.v[k], m.slowV[k]}} {
 			// First Laplacian (grid units: dimensionless with local dx).
-			// Computed one row beyond the block; with two-deep halos the
-			// ghost values match the neighbouring owner's exactly.
+			// Computed one row beyond the block, which the second pass
+			// reads.
 			for j := max(j0-1, 1); j < min(j1+1, m.cfg.NLat-1); j++ {
 				for i := 0; i < nlon; i++ {
 					c := j*nlon + i
@@ -781,8 +756,8 @@ func (m *Model) internalStep(j0, j1 int, dt float64) {
 // physical term restrains it; without this (or an equivalently strong
 // del^4) the nonlinear terms pump it at density fronts. The damping is
 // strongly scale-selective: ~0.3/step at 2*dx, O(k^2 dx^2) elsewhere.
-// Runs as its own phase (after a halo refresh in the parallel driver)
-// because it reads just-updated neighbour velocities.
+// Runs as its own pool phase because it reads just-updated neighbour
+// velocities.
 func (m *Model) smoothVelocities(j0, j1 int) {
 	for k := 0; k < m.cfg.NLev; k++ {
 		for _, fld := range [2][]float64{m.u[k], m.v[k]} {
@@ -836,20 +811,12 @@ func (m *Model) svApply(fld []float64, k, j0, j1 int) {
 // timescale, which is why the paper can claim the slowing "make[s] little
 // difference to the internal motions". Diagnostics report eta/s^2, the
 // physically scaled surface height.
-func (m *Model) barotropicStep(f *Forcing, j0, j1 int, dt float64, sync syncFunc) {
+func (m *Model) barotropicStep(f *Forcing, j0, j1 int, dt float64) {
 	// Momentum first (forward), then continuity with the new velocities
 	// (backward) — the standard forward-backward scheme.
 	m.btDivergence(max(j0-1, 0), min(j1+1, m.cfg.NLat))
 	m.btMomentum(j0, j1, dt)
-	// The forward-backward ordering needs the freshly updated neighbour
-	// transports before continuity, and fresh eta before its smoothing.
-	if sync != nil {
-		sync(m.ubt, m.vbt)
-	}
 	m.btContinuity(j0, j1, dt)
-	if sync != nil {
-		sync(m.eta)
-	}
 	// The unstaggered grid supports a two-grid-interval null mode in the
 	// (eta, ubt, vbt) system that the centered gradients cannot feel; a
 	// light grid-Laplacian smoothing removes it (the role the paper gives
@@ -857,9 +824,6 @@ func (m *Model) barotropicStep(f *Forcing, j0, j1 int, dt float64, sync syncFunc
 	for _, fld := range [3][]float64{m.eta, m.ubt, m.vbt} {
 		m.btSmoothCompute(fld, j0, j1)
 		m.btSmoothApply(fld, j0, j1)
-	}
-	if sync != nil {
-		sync(m.eta, m.ubt, m.vbt)
 	}
 }
 

@@ -366,9 +366,9 @@ func (m *Model) SetPool(p pool.Runner) {
 }
 
 // Step advances one tracer interval (DtTracer) under the given forcing.
-// This is the serial driver; the parallel driver in parallel.go invokes the
-// same kernels over row blocks, and the shared-memory driver in shared.go
-// re-sequences them as pool phases.
+// With a multi-worker pool attached (SetPool) the shared-memory driver in
+// shared.go runs the serial driver's kernels as pool phases, bit-identical
+// for any worker count.
 //
 //foam:hotpath
 func (m *Model) Step(f *Forcing) {
@@ -383,7 +383,7 @@ func (m *Model) Step(f *Forcing) {
 		if m.wscr != nil {
 			m.stepShared(f)
 		} else {
-			m.stepRows(f, 1, m.cfg.NLat-1, nil)
+			m.stepRows(f, 1, m.cfg.NLat-1)
 		}
 	}
 	//foam:allow nondeterminism wall-clock cost trace feeds the load-balance diagnostic, never the simulation state
@@ -393,7 +393,7 @@ func (m *Model) Step(f *Forcing) {
 }
 
 // LastStepSeconds returns the wall time of the most recent Step, used by
-// the trace-driven parallel harness.
+// the traced ranked executor's cost model (core.RunTraced).
 func (m *Model) LastStepSeconds() float64 { return m.lastStepSeconds }
 
 // idx returns the flat index.

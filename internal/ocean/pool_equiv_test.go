@@ -7,10 +7,10 @@ import (
 	"foam/internal/pool"
 )
 
-// TestSharedPoolMatchesSerial is the shared-memory analogue of
-// TestParallelMatchesSerial: stepping with the worker pool must be
-// bit-identical (==, not approximately) to the serial driver for any worker
-// count, on every prognostic field. Both the split and unsplit free-surface
+// TestSharedPoolMatchesSerial is the decisive parallel-correctness test of
+// the ocean: stepping with the worker pool must be bit-identical (==, not
+// approximately) to the serial driver for any worker count, on every
+// prognostic field. Both the split and unsplit free-surface
 // paths are exercised.
 func TestSharedPoolMatchesSerial(t *testing.T) {
 	for _, split := range []bool{true, false} {

@@ -1,7 +1,6 @@
 package ocean
 
-// Shared-memory parallel stepping. Where parallel.go distributes row blocks
-// over message-passing ranks with halo exchanges, this driver runs the same
+// Shared-memory parallel stepping: this driver runs the serial driver's
 // kernels on a worker pool over the same shared arrays. The decomposition
 // rules that make the result bit-identical to the serial driver for any
 // worker count:
@@ -9,9 +8,9 @@ package ocean
 //   - Every kernel invocation becomes a phase whose row ranges partition the
 //     domain: each row is written by exactly one worker, with the same
 //     per-cell operation order as the serial sweep. pool.Run's barrier
-//     separates phases, standing in for the serial driver's sequencing (and
-//     for the mp driver's halo exchanges — in shared memory the "exchange"
-//     is free because neighbours read the same arrays).
+//     separates phases, standing in for the serial driver's sequencing
+//     (neighbouring rows are read from the same arrays, so no exchange is
+//     needed).
 //   - Kernels whose serial form used a shared scratch buffer either get a
 //     per-worker buffer (biharmonic lap, tracer tendency, vertical column
 //     flux, polar-filter FFT workspace, mixing columns) or write the shared
@@ -138,8 +137,8 @@ func (m *Model) stepShared(f *Forcing) {
 			for b := 0; b < nbaro; b++ {
 				// Forward-backward barotropic step as barrier-separated
 				// sub-phases (divergence -> momentum -> continuity ->
-				// per-field smoothing), mirroring the sync points of the
-				// mp driver.
+				// per-field smoothing), each reading its predecessor's
+				// neighbour rows.
 				p.Run(nlat, ph.btDiv)
 				p.Run(nlat-2, ph.btMom)
 				p.Run(nlat-2, ph.btCont)

@@ -2,8 +2,11 @@
 // atmosphere: a mixed-radix FFT, associated Legendre functions, and
 // spherical-harmonic analysis/synthesis under rhomboidal (or triangular)
 // truncation, together with the derivative operators the dynamical core
-// needs. A transpose-based distributed transform mirrors the parallel
-// spectral transform algorithms of Foster and Worley cited by the paper.
+// needs. There is one FFT engine, on split re/im planes; the polar filter
+// of the ocean uses it through LowPassRealInto. Parallelism is row-blocked
+// through a pool.Runner (SetPool), bit-identical for any worker count; the
+// distributed-memory transpose algorithms of Foster and Worley cited by the
+// paper are modelled by the ranked executor's cost model in internal/core.
 //
 //foam:deterministic
 package spectral
@@ -20,17 +23,17 @@ import (
 // O(n^2) transform (correct, just slower — the model grids are all
 // 2/3/5-smooth).
 // An FFT is safe for concurrent use: all fields are read-only after NewFFT
-// and working storage is allocated per call.
+// and working storage comes from a per-caller FFTScratch.
 type FFT struct {
 	n       int
 	factors []int
 	twiddle []complex128 // e^{-2*pi*i*k/n} for k in [0,n)
-	stages  []fftStage   // per-depth split twiddle tables (split path)
+	stages  []fftStage   // per-depth split twiddle tables
 	perm    []int        // mixed-radix digit reversal: leaf i reads input perm[i]
 }
 
-// fftStage holds the precomputed butterfly twiddles for one recursion depth
-// of the mixed-radix transform in split re/im layout. At depth d the
+// fftStage holds the precomputed butterfly twiddles for one depth of the
+// mixed-radix transform in split re/im layout. At depth d the
 // combine step of a size-long block multiplies subsequence r's entry idx by
 // twiddle[(r*idx*twStep) % n]; the table flattens that lookup to
 // tw{Re,Im}[r*size+idx], removing the modulo and the conjugation branch
@@ -81,9 +84,9 @@ func NewFFT(n int) *FFT {
 		size = st.m
 	}
 	if f.factors != nil {
-		// Digit-reversal permutation: where recurse's decimation-in-time
-		// leaves would read their input. perm[dst] = src so the iterative
-		// split transform starts from the same leaf ordering.
+		// Digit-reversal permutation: where a recursive decimation-in-time
+		// transform's leaves would read their input. perm[dst] = src so the
+		// iterative split transform starts from the same leaf ordering.
 		f.perm = make([]int, n)
 		var build func(dstOff, srcOff, stride, depth, size int)
 		build = func(dstOff, srcOff, stride, depth, size int) {
@@ -105,69 +108,13 @@ func NewFFT(n int) *FFT {
 // N returns the transform length.
 func (f *FFT) N() int { return f.n }
 
-// Forward computes dst[k] = sum_j src[j] * e^{-2*pi*i*j*k/n}. dst and src
-// must both have length n and may alias.
-func (f *FFT) Forward(dst, src []complex128) {
-	f.transform(dst, src, false)
-}
-
-// Inverse computes dst[j] = (1/n) * sum_k src[k] * e^{+2*pi*i*j*k/n}.
-func (f *FFT) Inverse(dst, src []complex128) {
-	f.transform(dst, src, true)
-	inv := complex(1/float64(f.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
-func (f *FFT) transform(dst, src []complex128, inverse bool) {
-	if len(dst) != f.n || len(src) != f.n {
-		panic("spectral: FFT buffer length mismatch")
-	}
-	if f.factors == nil {
-		f.direct(dst, src, inverse)
-		return
-	}
-	work := make([]complex128, f.n)
-	copy(work, src)
-	f.recurse(dst, work, f.n, 1, 0, inverse)
-}
-
-// transformNoAlias is transform for callers that guarantee dst and src do
-// not overlap: recurse only reads src, so the defensive copy (and the
-// direct path's tmp buffer) can be skipped. The arithmetic is identical to
-// transform, so results are bit-identical.
-func (f *FFT) transformNoAlias(dst, src []complex128, inverse bool) {
-	if len(dst) != f.n || len(src) != f.n {
-		panic("spectral: FFT buffer length mismatch")
-	}
-	if f.factors == nil {
-		for k := 0; k < f.n; k++ {
-			sum := complex(0, 0)
-			for j := 0; j < f.n; j++ {
-				t := (j * k) % f.n
-				w := f.twiddle[t]
-				if inverse {
-					w = cmplx.Conj(w)
-				}
-				sum += w * src[j]
-			}
-			dst[k] = sum
-		}
-		return
-	}
-	f.recurse(dst, src, f.n, 1, 0, inverse)
-}
-
 // FFTScratch holds the working storage of the allocation-free *Into FFT
 // entry points. One scratch serves one concurrent caller; per-worker use
 // requires one scratch per worker (see Workspace).
 type FFTScratch struct {
-	a, b []complex128 // length n each; never aliased with caller buffers
-
-	// Split-complex working storage for the *SplitInto entry points:
-	// staging (buf), output (out), combine scratch (cp), and a
-	// permanently-zero imaginary plane real-input analysis reads.
+	// Split-complex working storage: staging (buf), output (out), combine
+	// scratch (cp), and a permanently-zero imaginary plane real-input
+	// transforms read.
 	bufRe, bufIm []float64
 	outRe, outIm []float64
 	cpRe, cpIm   []float64
@@ -179,78 +126,10 @@ type FFTScratch struct {
 //foam:coldpath
 func (f *FFT) NewScratch() *FFTScratch {
 	return &FFTScratch{
-		a: make([]complex128, f.n), b: make([]complex128, f.n),
 		bufRe: make([]float64, f.n), bufIm: make([]float64, f.n),
 		outRe: make([]float64, f.n), outIm: make([]float64, f.n),
 		cpRe: make([]float64, f.n), cpIm: make([]float64, f.n),
 		zeroIm: make([]float64, f.n),
-	}
-}
-
-// ForwardInto is Forward without per-call allocation. dst and src must not
-// alias each other or the scratch buffers.
-//
-//foam:hotpath
-func (f *FFT) ForwardInto(dst, src []complex128, s *FFTScratch) {
-	checkNoAliasC(dst, src, "ForwardInto dst/src")
-	f.transformNoAlias(dst, src, false)
-}
-
-// InverseInto is Inverse without per-call allocation. dst and src must not
-// alias each other or the scratch buffers.
-//
-//foam:hotpath
-func (f *FFT) InverseInto(dst, src []complex128, s *FFTScratch) {
-	checkNoAliasC(dst, src, "InverseInto dst/src")
-	f.transformNoAlias(dst, src, true)
-	inv := complex(1/float64(f.n), 0)
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
-// checkNoAliasC panics when two complex slices share their first element —
-// the aliasing the no-copy paths cannot tolerate.
-func checkNoAliasC(a, b []complex128, what string) {
-	if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
-		panic("spectral: " + what + " must not alias")
-	}
-}
-
-// recurse performs a decimation-in-time mixed-radix FFT of length size over
-// work[off], work[off+stride], ... writing the result contiguously into
-// dst[0:size] of the caller's region. depth indexes into f.factors.
-func (f *FFT) recurse(dst, work []complex128, size, stride, depth int, inverse bool) {
-	if size == 1 {
-		dst[0] = work[0]
-		return
-	}
-	p := f.factors[depth]
-	m := size / p
-	// Transform the p interleaved subsequences.
-	for r := 0; r < p; r++ {
-		f.recurse(dst[r*m:(r+1)*m], work[r*stride:], m, stride*p, depth+1, inverse)
-	}
-	// Combine: X[k + q*m] = sum_r W^{r(k+qm)} * Sub_r[k].
-	var tmp [5]complex128 // radices are at most 5
-	twStep := f.n / size
-	for k := 0; k < m; k++ {
-		for r := 0; r < p; r++ {
-			tmp[r] = dst[r*m+k]
-		}
-		for q := 0; q < p; q++ {
-			idx := k + q*m
-			sum := complex(0, 0)
-			for r := 0; r < p; r++ {
-				t := (r * idx * twStep) % f.n
-				w := f.twiddle[t]
-				if inverse {
-					w = cmplx.Conj(w)
-				}
-				sum += w * tmp[r]
-			}
-			dst[idx] = sum
-		}
 	}
 }
 
@@ -261,18 +140,20 @@ func (f *FFT) recurse(dst, work []complex128, size, stride, depth int, inverse b
 // register path, which has no copies and no per-strip slicing.
 const fftStripMin = 16
 
-// iterSplit is the mixed-radix transform on the split re/im layout,
-// iterative where recurse is recursive: the digit-reversal permutation
-// plays the leaves, then the stages combine bottom-up over the same
-// contiguous blocks the recursion would produce. The butterfly arithmetic
-// mirrors the complex path operation for operation — product real/imag
-// parts are each two rounded multiplies combined by one rounded add/sub,
-// then accumulated in the same r-ascending order — so results are
-// bit-identical on gc (which lowers complex128 multiply to exactly these
-// ops; the float64 conversions pin the product rounding against fused
-// multiply-add contraction). The per-butterfly modulo and conjugation
-// branch of the complex path are gone: stage tables hold the twiddles in
-// traversal order, pre-conjugated for the inverse.
+// iterSplit is the mixed-radix transform on the split re/im layout: the
+// digit-reversal permutation plays the leaves of a recursive
+// decimation-in-time transform, then the stages combine bottom-up over the
+// same contiguous blocks the recursion would produce. The butterfly
+// arithmetic mirrors a recursive complex128 transform operation for
+// operation — product real/imag parts are each two rounded multiplies
+// combined by one rounded add/sub, then accumulated in the same
+// r-ascending order — so results are bit-identical on gc (which lowers
+// complex128 multiply to exactly these ops; the float64 conversions pin
+// the product rounding against fused multiply-add contraction). The
+// complex reference lives in fftref_test.go, and splitident_test.go holds
+// this kernel to it bit for bit. Stage tables hold the twiddles in
+// traversal order, pre-conjugated for the inverse, so there is no
+// per-butterfly modulo or conjugation branch.
 //
 //foam:hotpath
 func (f *FFT) iterSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch, inverse bool) {
@@ -293,7 +174,8 @@ func (f *FFT) iterSplit(dstRe, dstIm, srcRe, srcIm []float64, s *FFTScratch, inv
 		if m < fftStripMin {
 			// Register path: each output group's p inputs are gathered
 			// into registers, the p outputs accumulate r-ascending (as
-			// recurse's local sum does) and store back in place. The
+			// the recursive combine's local sum does) and store back in
+			// place. The
 			// radix-specialized kernels below unroll both butterfly loops.
 			switch p {
 			case 4:
@@ -575,8 +457,9 @@ func fftButterfly5(dRe, dIm, twR, twI []float64, m, size int) {
 	}
 }
 
-// directSplit is the non-smooth-length fallback on the split layout,
-// mirroring transformNoAlias's direct loop operation for operation.
+// directSplit is the O(n^2) fallback for lengths that are not
+// 2/3/5-smooth, accumulating each output in the same order as a complex128
+// direct DFT.
 //
 //foam:hotpath
 func (f *FFT) directSplit(dstRe, dstIm, srcRe, srcIm []float64, inverse bool) {
@@ -610,131 +493,19 @@ func (f *FFT) transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm []float64, s *FFT
 	f.iterSplit(dstRe, dstIm, srcRe, srcIm, s, inverse)
 }
 
-func (f *FFT) direct(dst, src []complex128, inverse bool) {
-	tmp := make([]complex128, f.n)
-	for k := 0; k < f.n; k++ {
-		sum := complex(0, 0)
-		for j := 0; j < f.n; j++ {
-			t := (j * k) % f.n
-			w := f.twiddle[t]
-			if inverse {
-				w = cmplx.Conj(w)
-			}
-			sum += w * src[j]
-		}
-		tmp[k] = sum
-	}
-	copy(dst, tmp)
-}
-
-// AnalyzeReal computes the first mmax+1 complex Fourier coefficients of a
-// real periodic sequence: F_m = (1/n) * sum_j x_j e^{-i m lambda_j} with
-// lambda_j = 2*pi*j/n. Negative-m coefficients are the conjugates and are
-// not stored. dst must have length mmax+1; mmax must be < n/2 so the
-// coefficients are unaliased.
-func (f *FFT) AnalyzeReal(dst []complex128, x []float64, mmax int) {
-	if len(x) != f.n {
-		panic("spectral: AnalyzeReal input length mismatch")
-	}
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
-	}
-	buf := make([]complex128, f.n)
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	out := make([]complex128, f.n)
-	f.Forward(out, buf)
-	scale := complex(1/float64(f.n), 0)
-	for m := 0; m <= mmax; m++ {
-		dst[m] = out[m] * scale
-	}
-}
-
-// SynthesizeReal reconstructs a real sequence from its non-negative
-// Fourier coefficients: x_j = Re(F_0) + 2*sum_{m=1..mmax} Re(F_m e^{i m lambda_j}).
-func (f *FFT) SynthesizeReal(dst []float64, coefs []complex128) {
-	if len(dst) != f.n {
-		panic("spectral: SynthesizeReal output length mismatch")
-	}
-	mmax := len(coefs) - 1
-	buf := make([]complex128, f.n)
-	buf[0] = complex(real(coefs[0]), 0)
-	for m := 1; m <= mmax; m++ {
-		buf[m] = coefs[m]
-		buf[f.n-m] = cmplx.Conj(coefs[m])
-	}
-	out := make([]complex128, f.n)
-	f.Inverse(out, buf)
-	// Inverse applies 1/n; synthesis needs the plain sum, so undo it.
-	for j := 0; j < f.n; j++ {
-		dst[j] = real(out[j]) * float64(f.n)
-	}
-}
-
-// AnalyzeRealInto is AnalyzeReal without per-call allocation: the complex
-// staging and output buffers come from s. Bit-identical to AnalyzeReal.
-//
-//foam:hotpath
-func (f *FFT) AnalyzeRealInto(dst []complex128, x []float64, mmax int, s *FFTScratch) {
-	if len(x) != f.n {
-		panic("spectral: AnalyzeReal input length mismatch")
-	}
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
-	}
-	buf, out := s.a, s.b
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	f.transformNoAlias(out, buf, false)
-	scale := complex(1/float64(f.n), 0)
-	for m := 0; m <= mmax; m++ {
-		dst[m] = out[m] * scale
-	}
-}
-
-// SynthesizeRealInto is SynthesizeReal without per-call allocation.
-// Bit-identical to SynthesizeReal: the inverse transform's 1/n scaling and
-// the *n undo are applied in the same order.
-//
-//foam:hotpath
-func (f *FFT) SynthesizeRealInto(dst []float64, coefs []complex128, s *FFTScratch) {
-	if len(dst) != f.n {
-		panic("spectral: SynthesizeReal output length mismatch")
-	}
-	mmax := len(coefs) - 1
-	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: SynthesizeReal coefs length %d too large for n=%d", len(coefs), f.n))
-	}
-	buf, out := s.a, s.b
-	buf[0] = complex(real(coefs[0]), 0)
-	for m := 1; m <= mmax; m++ {
-		buf[m] = coefs[m]
-		buf[f.n-m] = cmplx.Conj(coefs[m])
-	}
-	for i := mmax + 1; i < f.n-mmax; i++ {
-		buf[i] = 0
-	}
-	f.transformNoAlias(out, buf, true)
-	inv := complex(1/float64(f.n), 0)
-	n := float64(f.n)
-	for j := 0; j < f.n; j++ {
-		dst[j] = real(out[j]*inv) * n
-	}
-}
-
-// AnalyzeRealSplitInto is AnalyzeRealInto writing the coefficient row into
-// split re/im planes. Bit-identical: the transform mirrors the complex
-// butterflies (see recurseSplit), the input's zero imaginary plane is the
-// scratch's permanently-zero buffer (so real staging is one copy, not a
-// complex widening pass), and the output scaling reconstructs the complex
-// value so the boundary multiply rounds exactly as the complex path.
+// AnalyzeRealSplitInto computes the first mmax+1 Fourier coefficients of a
+// real periodic sequence, F_m = (1/n) * sum_j x_j e^{-i m lambda_j} with
+// lambda_j = 2*pi*j/n, into split re/im planes. Negative-m coefficients
+// are the conjugates and are not stored; mmax must be < n/2 so the
+// coefficients are unaliased. The input's zero imaginary plane is the
+// scratch's permanently-zero buffer (so real staging is one copy), and
+// the output scaling reconstructs the complex value so the boundary
+// multiply rounds exactly as a complex128 transform would.
 //
 //foam:hotpath
 func (f *FFT) AnalyzeRealSplitInto(dstRe, dstIm []float64, x []float64, mmax int, s *FFTScratch) {
 	if len(x) != f.n {
-		panic("spectral: AnalyzeReal input length mismatch")
+		panic("spectral: AnalyzeRealSplitInto input length mismatch")
 	}
 	if mmax >= (f.n+1)/2 {
 		panic(fmt.Sprintf("spectral: mmax %d too large for n=%d", mmax, f.n))
@@ -748,20 +519,21 @@ func (f *FFT) AnalyzeRealSplitInto(dstRe, dstIm []float64, x []float64, mmax int
 	}
 }
 
-// SynthesizeRealSplitInto is SynthesizeRealInto reading the coefficient row
-// from split re/im planes. Bit-identical to the complex path: conjugate
+// SynthesizeRealSplitInto reconstructs a real sequence from its
+// non-negative Fourier coefficients in split re/im planes:
+// x_j = Re(F_0) + 2*sum_{m=1..mmax} Re(F_m e^{i m lambda_j}). Conjugate
 // mirroring negates the imaginary plane exactly as cmplx.Conj, and the
 // final 1/n · n de-scaling reconstructs the complex product so it rounds
-// identically.
+// exactly as a complex128 transform would.
 //
 //foam:hotpath
 func (f *FFT) SynthesizeRealSplitInto(dst []float64, cRe, cIm []float64, s *FFTScratch) {
 	if len(dst) != f.n {
-		panic("spectral: SynthesizeReal output length mismatch")
+		panic("spectral: SynthesizeRealSplitInto output length mismatch")
 	}
 	mmax := len(cRe) - 1
 	if mmax >= (f.n+1)/2 {
-		panic(fmt.Sprintf("spectral: SynthesizeReal coefs length %d too large for n=%d", len(cRe), f.n))
+		panic(fmt.Sprintf("spectral: SynthesizeRealSplitInto coefs length %d too large for n=%d", len(cRe), f.n))
 	}
 	bufRe, bufIm := s.bufRe, s.bufIm
 	bufRe[0] = cRe[0]
@@ -781,5 +553,34 @@ func (f *FFT) SynthesizeRealSplitInto(dst []float64, cRe, cIm []float64, s *FFTS
 	n := float64(f.n)
 	for j := 0; j < f.n; j++ {
 		dst[j] = real(complex(s.outRe[j], s.outIm[j])*inv) * n
+	}
+}
+
+// LowPassRealInto truncates a real periodic row in place to zonal
+// wavenumbers <= keep: a forward transform (the scratch's zero plane is
+// the imaginary input), wavenumbers keep+1 ... n-keep-1 zeroed, an inverse
+// transform, then row[j] = Re(X_j * (1/n)) with the product formed as a
+// complex128 multiply so it rounds exactly as a complex inverse transform
+// would. keep >= n/2 leaves the row untouched. row must not alias the
+// scratch.
+//
+//foam:hotpath
+func (f *FFT) LowPassRealInto(row []float64, keep int, s *FFTScratch) {
+	n := f.n
+	if len(row) != n {
+		panic("spectral: LowPassRealInto row length mismatch")
+	}
+	if keep >= n/2 {
+		return
+	}
+	f.transformSplitNoAlias(s.outRe, s.outIm, row, s.zeroIm, s, false)
+	for m := keep + 1; m <= n-keep-1; m++ {
+		s.outRe[m] = 0
+		s.outIm[m] = 0
+	}
+	f.transformSplitNoAlias(s.bufRe, s.bufIm, s.outRe, s.outIm, s, true)
+	inv := complex(1/float64(n), 0)
+	for j := 0; j < n; j++ {
+		row[j] = real(complex(s.bufRe[j], s.bufIm[j]) * inv)
 	}
 }

@@ -8,6 +8,23 @@ import (
 	"testing/quick"
 )
 
+// splitTransform runs the engine's unnormalized split transform (forward,
+// or conjugate-twiddle with inverse) on complex data.
+func splitTransform(f *FFT, src []complex128, inverse bool) []complex128 {
+	n := f.N()
+	srcRe, srcIm := make([]float64, n), make([]float64, n)
+	for i, v := range src {
+		srcRe[i], srcIm[i] = real(v), imag(v)
+	}
+	dstRe, dstIm := make([]float64, n), make([]float64, n)
+	f.transformSplitNoAlias(dstRe, dstIm, srcRe, srcIm, f.NewScratch(), inverse)
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = complex(dstRe[i], dstIm[i])
+	}
+	return out
+}
+
 func maxErrC(a, b []complex128) float64 {
 	m := 0.0
 	for i := range a {
@@ -26,8 +43,7 @@ func TestFFTMatchesDirectDFT(t *testing.T) {
 		for i := range src {
 			src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		got := make([]complex128, n)
-		f.Forward(got, src)
+		got := splitTransform(f, src, false)
 		want := make([]complex128, n)
 		for k := 0; k < n; k++ {
 			var s complex128
@@ -49,8 +65,7 @@ func TestFFTNonSmoothLengthFallback(t *testing.T) {
 		f := NewFFT(n)
 		src := make([]complex128, n)
 		src[1] = 1 // delta at 1: transform is e^{-2*pi*i*k/n}
-		got := make([]complex128, n)
-		f.Forward(got, src)
+		got := splitTransform(f, src, false)
 		for k := 0; k < n; k++ {
 			want := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
 			if cmplx.Abs(got[k]-want) > 1e-12 {
@@ -67,10 +82,10 @@ func TestFFTRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	fwd := make([]complex128, 48)
-	back := make([]complex128, 48)
-	f.Forward(fwd, src)
-	f.Inverse(back, fwd)
+	back := splitTransform(f, splitTransform(f, src, false), true)
+	for i := range back {
+		back[i] /= 48
+	}
 	if e := maxErrC(back, src); e > 1e-12 {
 		t.Fatalf("round trip error %v", e)
 	}
@@ -87,12 +102,7 @@ func TestFFTLinearity(t *testing.T) {
 		b[i] = complex(rng.NormFloat64(), 0)
 		ab[i] = 2*a[i] + 3*b[i]
 	}
-	fa := make([]complex128, 30)
-	fb := make([]complex128, 30)
-	fab := make([]complex128, 30)
-	f.Forward(fa, a)
-	f.Forward(fb, b)
-	f.Forward(fab, ab)
+	fa, fb, fab := splitTransform(f, a, false), splitTransform(f, b, false), splitTransform(f, ab, false)
 	for i := range fa {
 		want := 2*fa[i] + 3*fb[i]
 		if cmplx.Abs(fab[i]-want) > 1e-10 {
@@ -112,10 +122,8 @@ func TestFFTParsevalProperty(t *testing.T) {
 			src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			sum += real(src[i])*real(src[i]) + imag(src[i])*imag(src[i])
 		}
-		out := make([]complex128, n)
-		fft.Forward(out, src)
 		fsum := 0.0
-		for _, v := range out {
+		for _, v := range splitTransform(fft, src, false) {
 			fsum += real(v)*real(v) + imag(v)*imag(v)
 		}
 		return math.Abs(fsum/float64(n)-sum) < 1e-8*(1+sum)
@@ -133,21 +141,22 @@ func TestAnalyzeRealKnownWave(t *testing.T) {
 		lam := 2 * math.Pi * float64(j) / float64(n)
 		x[j] = 1.5 + 2*math.Cos(3*lam) - 4*math.Sin(5*lam)
 	}
-	coefs := make([]complex128, 9)
-	f.AnalyzeReal(coefs, x, 8)
+	re, im := make([]float64, 9), make([]float64, 9)
+	f.AnalyzeRealSplitInto(re, im, x, 8, f.NewScratch())
+	coef := func(m int) complex128 { return complex(re[m], im[m]) }
 	// cos(3l): F_3 = 1 (since 2*Re(F_3 e^{i3l}) with F_3 = 1).
 	// -4 sin(5l) = -4*(e^{i5l}-e^{-i5l})/(2i): F_5 = -4/(2i)*... => F_5 = 2i.
-	if cmplx.Abs(coefs[0]-1.5) > 1e-12 {
-		t.Fatalf("F0=%v", coefs[0])
+	if cmplx.Abs(coef(0)-1.5) > 1e-12 {
+		t.Fatalf("F0=%v", coef(0))
 	}
-	if cmplx.Abs(coefs[3]-1) > 1e-12 {
-		t.Fatalf("F3=%v", coefs[3])
+	if cmplx.Abs(coef(3)-1) > 1e-12 {
+		t.Fatalf("F3=%v", coef(3))
 	}
-	if cmplx.Abs(coefs[5]-complex(0, 2)) > 1e-12 {
-		t.Fatalf("F5=%v", coefs[5])
+	if cmplx.Abs(coef(5)-complex(0, 2)) > 1e-12 {
+		t.Fatalf("F5=%v", coef(5))
 	}
-	if cmplx.Abs(coefs[4]) > 1e-12 || cmplx.Abs(coefs[8]) > 1e-12 {
-		t.Fatalf("spurious coefficients %v %v", coefs[4], coefs[8])
+	if cmplx.Abs(coef(4)) > 1e-12 || cmplx.Abs(coef(8)) > 1e-12 {
+		t.Fatalf("spurious coefficients %v %v", coef(4), coef(8))
 	}
 }
 
@@ -156,19 +165,20 @@ func TestRealRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 16 + 2*rng.Intn(24) // even length
 		fft := NewFFT(n)
+		s := fft.NewScratch()
 		mmax := n/2 - 1
 		// Build a band-limited real signal from random coefficients.
-		coefs := make([]complex128, mmax+1)
-		coefs[0] = complex(rng.NormFloat64(), 0)
+		re, im := make([]float64, mmax+1), make([]float64, mmax+1)
+		re[0] = rng.NormFloat64()
 		for m := 1; m <= mmax; m++ {
-			coefs[m] = complex(rng.NormFloat64(), rng.NormFloat64())
+			re[m], im[m] = rng.NormFloat64(), rng.NormFloat64()
 		}
 		x := make([]float64, n)
-		fft.SynthesizeReal(x, coefs)
-		back := make([]complex128, mmax+1)
-		fft.AnalyzeReal(back, x, mmax)
+		fft.SynthesizeRealSplitInto(x, re, im, s)
+		backRe, backIm := make([]float64, mmax+1), make([]float64, mmax+1)
+		fft.AnalyzeRealSplitInto(backRe, backIm, x, mmax, s)
 		for m := 0; m <= mmax; m++ {
-			if cmplx.Abs(back[m]-coefs[m]) > 1e-9 {
+			if cmplx.Abs(complex(backRe[m]-re[m], backIm[m]-im[m])) > 1e-9 {
 				return false
 			}
 		}

@@ -42,7 +42,6 @@ func sameC128(a, b []complex128) int {
 // up as a bit difference here.
 type refKit struct {
 	tr          *Transform
-	s           *FFTScratch
 	rows, rowsB []complex128
 	c1, c2, c3  []complex128
 	psi, chi    []complex128
@@ -52,7 +51,6 @@ func newRefKit(tr *Transform) *refKit {
 	mm := tr.Trunc.M + 1
 	return &refKit{
 		tr:    tr,
-		s:     tr.fft.NewScratch(),
 		rows:  make([]complex128, tr.NLat*mm),
 		rowsB: make([]complex128, tr.NLat*mm),
 		c1:    make([]complex128, mm),
@@ -67,7 +65,7 @@ func (r *refKit) fourier(rows []complex128, grid []float64) {
 	tr := r.tr
 	mm := tr.Trunc.M + 1
 	for j := 0; j < tr.NLat; j++ {
-		tr.fft.AnalyzeRealInto(rows[j*mm:(j+1)*mm], grid[j*tr.NLon:(j+1)*tr.NLon], tr.Trunc.M, r.s)
+		tr.fft.refAnalyzeReal(rows[j*mm:(j+1)*mm], grid[j*tr.NLon:(j+1)*tr.NLon], tr.Trunc.M)
 	}
 }
 
@@ -108,7 +106,7 @@ func (r *refKit) synthesize(grid []float64, spec []complex128) {
 			}
 			r.c1[m] = sum
 		}
-		tr.fft.SynthesizeRealInto(grid[j*tr.NLon:(j+1)*tr.NLon], r.c1, r.s)
+		tr.fft.refSynthesizeReal(grid[j*tr.NLon:(j+1)*tr.NLon], r.c1)
 	}
 }
 
@@ -132,9 +130,9 @@ func (r *refKit) synthDerivs(f, dfdl, hmu []float64, spec []complex128) {
 			r.c2[m] = complex(0, float64(m)) * sf
 			r.c3[m] = sh
 		}
-		tr.fft.SynthesizeRealInto(f[j*tr.NLon:(j+1)*tr.NLon], r.c1, r.s)
-		tr.fft.SynthesizeRealInto(dfdl[j*tr.NLon:(j+1)*tr.NLon], r.c2, r.s)
-		tr.fft.SynthesizeRealInto(hmu[j*tr.NLon:(j+1)*tr.NLon], r.c3, r.s)
+		tr.fft.refSynthesizeReal(f[j*tr.NLon:(j+1)*tr.NLon], r.c1)
+		tr.fft.refSynthesizeReal(dfdl[j*tr.NLon:(j+1)*tr.NLon], r.c2)
+		tr.fft.refSynthesizeReal(hmu[j*tr.NLon:(j+1)*tr.NLon], r.c3)
 	}
 }
 
@@ -176,8 +174,8 @@ func (r *refKit) synthUV(U, V []float64, vort, div []complex128) {
 			r.c1[m] = (im*sChi - hPsi) * inva
 			r.c2[m] = (im*sPsi + hChi) * inva
 		}
-		tr.fft.SynthesizeRealInto(U[j*tr.NLon:(j+1)*tr.NLon], r.c1, r.s)
-		tr.fft.SynthesizeRealInto(V[j*tr.NLon:(j+1)*tr.NLon], r.c2, r.s)
+		tr.fft.refSynthesizeReal(U[j*tr.NLon:(j+1)*tr.NLon], r.c1)
+		tr.fft.refSynthesizeReal(V[j*tr.NLon:(j+1)*tr.NLon], r.c2)
 	}
 }
 
@@ -403,26 +401,26 @@ func TestFusedBatchBitIdenticalToReference(t *testing.T) {
 	}
 }
 
+// TestFFTSplitRealBitIdentical pins the real-row entry points of the split
+// engine to the complex reference: analysis, synthesis, and the polar
+// filter's low-pass truncation (at the ocean's 128-point rows too, for
+// keep from the filter's floor of 2 up to the no-op keep >= n/2).
 func TestFFTSplitRealBitIdentical(t *testing.T) {
-	for _, n := range []int{2, 4, 6, 7, 11, 12, 16, 30, 48, 54, 64, 90} {
+	for _, n := range []int{2, 4, 6, 7, 11, 12, 16, 30, 48, 54, 64, 90, 128} {
 		f := NewFFT(n)
 		s := f.NewScratch()
-		s2 := f.NewScratch()
 		rng := rand.New(rand.NewSource(int64(n)))
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
 		mmax := (n - 1) / 2
-		if mmax >= (n+1)/2 {
-			mmax = (n+1)/2 - 1
-		}
 
 		ref := make([]complex128, mmax+1)
-		f.AnalyzeRealInto(ref, x, mmax, s)
+		f.refAnalyzeReal(ref, x, mmax)
 		gotRe := make([]float64, mmax+1)
 		gotIm := make([]float64, mmax+1)
-		f.AnalyzeRealSplitInto(gotRe, gotIm, x, mmax, s2)
+		f.AnalyzeRealSplitInto(gotRe, gotIm, x, mmax, s)
 		for m := 0; m <= mmax; m++ {
 			if math.Float64bits(gotRe[m]) != math.Float64bits(real(ref[m])) ||
 				math.Float64bits(gotIm[m]) != math.Float64bits(imag(ref[m])) {
@@ -431,11 +429,26 @@ func TestFFTSplitRealBitIdentical(t *testing.T) {
 		}
 
 		wantGrid := make([]float64, n)
-		f.SynthesizeRealInto(wantGrid, ref, s)
+		f.refSynthesizeReal(wantGrid, ref)
 		gotGrid := make([]float64, n)
-		f.SynthesizeRealSplitInto(gotGrid, gotRe, gotIm, s2)
+		f.SynthesizeRealSplitInto(gotGrid, gotRe, gotIm, s)
 		if i := sameF64(gotGrid, wantGrid); i >= 0 {
 			t.Fatalf("n=%d synthesize j=%d: split %v != complex %v", n, i, gotGrid[i], wantGrid[i])
+		}
+
+		for _, keep := range []int{2, n / 3, n/2 - 1, n / 2, n} {
+			want := append([]float64(nil), x...)
+			f.refLowPassReal(want, keep)
+			got := append([]float64(nil), x...)
+			f.LowPassRealInto(got, keep, s)
+			if i := sameF64(got, want); i >= 0 {
+				t.Fatalf("n=%d low-pass keep=%d j=%d: split %v != complex %v", n, keep, i, got[i], want[i])
+			}
+			if keep >= n/2 {
+				if i := sameF64(got, x); i >= 0 {
+					t.Fatalf("n=%d keep=%d must leave the row untouched, j=%d changed", n, keep, i)
+				}
+			}
 		}
 	}
 }

@@ -612,6 +612,13 @@ func checkNoAliasF(a, b []float64, what string) {
 	}
 }
 
+// checkNoAliasC is checkNoAliasF for complex slices.
+func checkNoAliasC(a, b []complex128, what string) {
+	if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
+		panic("spectral: " + what + " must not alias")
+	}
+}
+
 // checkBatch validates a fused batch: equal field counts within the
 // workspace's arena capacity, every grid and spectral slice full-sized, and
 // pairwise-distinct destination slices where dsts is non-nil.
@@ -750,9 +757,14 @@ func (tr *Transform) SynthesizeManyInto(grids [][]float64, specs [][]complex128,
 	tr.synthesizeMany(grids, specs, ws)
 }
 
-// SynthesizeWithDerivsInto is the allocation-free form of
-// SynthesizeWithDerivs: f, dfdl and hmu must be distinct grid-sized
-// buffers.
+// SynthesizeWithDerivsInto computes the grid field together with its plain
+// longitude derivative df/dlambda and the weighted meridional derivative
+// (1-mu^2) df/dmu. The advective operator on the sphere is then
+//
+//	u·grad f = (U*dfdl + V*hmu) / (a*(1-mu^2))
+//
+// with U = u cos(lat), V = v cos(lat). f, dfdl and hmu must be distinct
+// grid-sized buffers.
 //
 //foam:hotpath
 func (tr *Transform) SynthesizeWithDerivsInto(f, dfdl, hmu []float64, spec []complex128, ws *Workspace) {
@@ -773,21 +785,6 @@ func (tr *Transform) SynthesizeWithDerivsInto(f, dfdl, hmu []float64, spec []com
 	ws.f, ws.dfdl, ws.hmu = f, dfdl, hmu
 	tr.pool.Run(tr.NLat, ws.phDerivs)
 	ws.f, ws.dfdl, ws.hmu = nil, nil, nil
-}
-
-// SynthesizeWithDerivs returns the grid field together with its plain
-// longitude derivative df/dlambda and the weighted meridional derivative
-// (1-mu^2) df/dmu. The advective operator on the sphere is then
-//
-//	u·grad f = (U*dfdl + V*hmu) / (a*(1-mu^2))
-//
-// with U = u cos(lat), V = v cos(lat). Allocating convenience wrapper.
-func (tr *Transform) SynthesizeWithDerivs(spec []complex128) (f, dfdl, hmu []float64) {
-	f = make([]float64, tr.NLat*tr.NLon)
-	dfdl = make([]float64, tr.NLat*tr.NLon)
-	hmu = make([]float64, tr.NLat*tr.NLon)
-	tr.SynthesizeWithDerivsInto(f, dfdl, hmu, spec, nil)
-	return f, dfdl, hmu
 }
 
 // SynthesizeUVInto computes the grid wind images U = u cos(lat),
@@ -972,17 +969,6 @@ func (tr *Transform) AnalyzeDivPairManyInto(specs1, specs2 [][]complex128, As, B
 	tr.analyzeDivMany(specs1, specs2, As, Bs, sA1, sB1, sA2, sB2, true, ws)
 }
 
-// AnalyzeDivForm is the allocating convenience wrapper of
-// AnalyzeDivFormInto. The vorticity and divergence tendencies are
-//
-//	vorticity tendency   = AnalyzeDivForm(A, B, -1, -1)
-//	divergence tendency  = AnalyzeDivForm(B, A, +1, -1)
-func (tr *Transform) AnalyzeDivForm(A, B []float64, signA, signB float64) []complex128 {
-	spec := make([]complex128, tr.Trunc.Count())
-	tr.AnalyzeDivFormInto(spec, A, B, signA, signB, nil)
-	return spec
-}
-
 // VortDivTendInto assembles the rotational-form tendencies used by the
 // dynamical core: given grid fluxes A = U*X and B = V*X (for vorticity
 // advection X = absolute vorticity, etc.) it computes
@@ -992,7 +978,7 @@ func (tr *Transform) AnalyzeDivForm(A, B []float64, signA, signB float64) []comp
 //
 // vort and div must be distinct; A and B are read-only. The Fourier rows
 // of A and B are computed once and shared by both accumulations, halving
-// the FFT work of two separate AnalyzeDivForm calls.
+// the FFT work of two separate AnalyzeDivFormInto calls.
 //
 //foam:hotpath
 func (tr *Transform) VortDivTendInto(vort, div []complex128, A, B []float64, ws *Workspace) {
@@ -1001,22 +987,12 @@ func (tr *Transform) VortDivTendInto(vort, div []complex128, A, B []float64, ws 
 	tr.checkGrid(B, "VortDivTendInto B")
 	tr.checkSpec(vort, "VortDivTendInto vort")
 	tr.checkSpec(div, "VortDivTendInto div")
-	if len(vort) > 0 && len(div) > 0 && &vort[0] == &div[0] {
-		panic("spectral: VortDivTendInto vort/div must not alias")
-	}
+	checkNoAliasC(vort, div, "VortDivTendInto vort/div")
 	ws.oneS[0], ws.oneS2[0] = vort, div
 	ws.oneG[0], ws.oneG2[0] = A, B
 	tr.analyzeDivMany(ws.oneS, ws.oneS2, ws.oneG, ws.oneG2, -1, -1, 1, -1, true, ws)
 	ws.oneS[0], ws.oneS2[0] = nil, nil
 	ws.oneG[0], ws.oneG2[0] = nil, nil
-}
-
-// VortDivTend is the allocating convenience wrapper of VortDivTendInto.
-func (tr *Transform) VortDivTend(A, B []float64) (vort, div []complex128) {
-	vort = make([]complex128, tr.Trunc.Count())
-	div = make([]complex128, tr.Trunc.Count())
-	tr.VortDivTendInto(vort, div, A, B, nil)
-	return vort, div
 }
 
 // Laplacian multiplies spectral coefficients by -n(n+1)/a^2 in place and
@@ -1027,23 +1003,6 @@ func (tr *Transform) Laplacian(spec []complex128) []complex128 {
 	for m := 0; m <= t.M; m++ {
 		for n := m; n <= m+t.K; n++ {
 			spec[t.Index(m, n)] *= complex(-float64(n*(n+1))/a2, 0)
-		}
-	}
-	return spec
-}
-
-// InverseLaplacian divides by -n(n+1)/a^2, zeroing the global mean.
-func (tr *Transform) InverseLaplacian(spec []complex128) []complex128 {
-	t := tr.Trunc
-	a2 := sphere.Radius * sphere.Radius
-	for m := 0; m <= t.M; m++ {
-		for n := m; n <= m+t.K; n++ {
-			idx := t.Index(m, n)
-			if n == 0 {
-				spec[idx] = 0
-				continue
-			}
-			spec[idx] /= complex(-float64(n*(n+1))/a2, 0)
 		}
 	}
 	return spec

@@ -183,31 +183,6 @@ func TestLaplacianEigenfunction(t *testing.T) {
 	}
 }
 
-func TestInverseLaplacianInvertsLaplacian(t *testing.T) {
-	tr := NewTransform(Rhomboidal(6), 20, 24)
-	rng := rand.New(rand.NewSource(11))
-	spec := make([]complex128, tr.Trunc.Count())
-	for m := 0; m <= 6; m++ {
-		for n := m; n <= m+6; n++ {
-			if n == 0 {
-				continue // global mean not invertible
-			}
-			im := rng.NormFloat64()
-			if m == 0 {
-				im = 0
-			}
-			spec[tr.Trunc.Index(m, n)] = complex(rng.NormFloat64(), im)
-		}
-	}
-	lap := tr.Laplacian(append([]complex128(nil), spec...))
-	back := tr.InverseLaplacian(lap)
-	for i := range spec {
-		if cmplx.Abs(back[i]-spec[i]) > 1e-10 {
-			t.Fatalf("inv laplacian mismatch at %d", i)
-		}
-	}
-}
-
 func TestSynthesizeWithDerivsLongitude(t *testing.T) {
 	tr := NewTransform(Rhomboidal(8), 24, 30)
 	// f = cos(lat)^2 * sin(2*lon) is band-limited; df/dlon = 2 cos^2 cos(2*lon).
@@ -220,7 +195,8 @@ func TestSynthesizeWithDerivsLongitude(t *testing.T) {
 		}
 	}
 	spec := tr.Analyze(grid)
-	f, dfdl, _ := tr.SynthesizeWithDerivs(spec)
+	f, dfdl, hmu := make([]float64, 24*30), make([]float64, 24*30), make([]float64, 24*30)
+	tr.SynthesizeWithDerivsInto(f, dfdl, hmu, spec, nil)
 	for j := 0; j < 24; j++ {
 		c2 := 1 - tr.Mu(j)*tr.Mu(j)
 		for i := 0; i < 30; i++ {
@@ -246,7 +222,8 @@ func TestSynthesizeWithDerivsMeridional(t *testing.T) {
 		}
 	}
 	spec := tr.Analyze(grid)
-	_, _, hmu := tr.SynthesizeWithDerivs(spec)
+	f, dfdl, hmu := make([]float64, 24*30), make([]float64, 24*30), make([]float64, 24*30)
+	tr.SynthesizeWithDerivsInto(f, dfdl, hmu, spec, nil)
 	for j := 0; j < 24; j++ {
 		mu := tr.Mu(j)
 		want := 2 * mu * (1 - mu*mu)
@@ -326,8 +303,10 @@ func TestUVDivergenceIdentity(t *testing.T) {
 	// div part: 1/(a(1-mu2)) dV/dl - 1/a dU/dmu ... careful: divergence of
 	// (u,v) is 1/(a(1-mu2)) dU/dl + 1/a dV/dmu; and vorticity is
 	// 1/(a(1-mu2)) dV/dl - 1/a dU/dmu.
-	divBack := tr.AnalyzeDivForm(U, V, 1, 1)
-	vortBack := tr.AnalyzeDivForm(V, U, 1, -1)
+	divBack := make([]complex128, tr.Trunc.Count())
+	vortBack := make([]complex128, tr.Trunc.Count())
+	tr.AnalyzeDivFormInto(divBack, U, V, 1, 1, nil)
+	tr.AnalyzeDivFormInto(vortBack, V, U, 1, -1, nil)
 	for i := range zeta {
 		if cmplx.Abs(divBack[i]-div[i]) > 1e-9*(1+cmplx.Abs(div[i])) {
 			t.Fatalf("divergence identity fails at %d: %v vs %v", i, divBack[i], div[i])

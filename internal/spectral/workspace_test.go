@@ -32,8 +32,10 @@ func testFields(t Truncation) (tr *Transform, grid, grid2 []float64, spec []comp
 	return tr, grid, grid2, spec
 }
 
-// TestWorkspaceMatchesAllocatingAPI pins the *Into entry points to the
-// allocating wrappers bit-for-bit, serial and pooled.
+// TestWorkspaceMatchesAllocatingAPI pins the *Into entry points with a
+// caller workspace to the allocating wrappers bit-for-bit, serial and
+// pooled; entry points without a wrapper are pinned to their nil-workspace
+// form (the transform's own workspace).
 func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		tr, grid, grid2, spec := testFields(Rhomboidal(10))
@@ -65,7 +67,8 @@ func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
 			}
 		}
 
-		wf, wd, wh := tr.SynthesizeWithDerivs(spec)
+		wf, wd, wh := make([]float64, n), make([]float64, n), make([]float64, n)
+		tr.SynthesizeWithDerivsInto(wf, wd, wh, spec, nil)
 		gf, gd, gh := make([]float64, n), make([]float64, n), make([]float64, n)
 		tr.SynthesizeWithDerivsInto(gf, gd, gh, spec, ws)
 		for i := 0; i < n; i++ {
@@ -83,7 +86,8 @@ func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
 			}
 		}
 
-		wantDiv := tr.AnalyzeDivForm(grid, grid2, 1, -1)
+		wantDiv := make([]complex128, cnt)
+		tr.AnalyzeDivFormInto(wantDiv, grid, grid2, 1, -1, nil)
 		gotDiv := make([]complex128, cnt)
 		tr.AnalyzeDivFormInto(gotDiv, grid, grid2, 1, -1, ws)
 		for i := range wantDiv {
@@ -92,7 +96,8 @@ func TestWorkspaceMatchesAllocatingAPI(t *testing.T) {
 			}
 		}
 
-		wVort, wDiv2 := tr.VortDivTend(grid, grid2)
+		wVort, wDiv2 := make([]complex128, cnt), make([]complex128, cnt)
+		tr.VortDivTendInto(wVort, wDiv2, grid, grid2, nil)
 		gVort, gDiv2 := make([]complex128, cnt), make([]complex128, cnt)
 		tr.VortDivTendInto(gVort, gDiv2, grid, grid2, ws)
 		for i := range wVort {
@@ -115,15 +120,20 @@ func TestAnalyzeDivFormSignFolding(t *testing.T) {
 		}
 		return out
 	}
-	base := tr.AnalyzeDivForm(neg(grid), neg(grid2), 1, 1)
-	folded := tr.AnalyzeDivForm(grid, grid2, -1, -1)
+	divForm := func(A, B []float64, signA, signB float64) []complex128 {
+		spec := make([]complex128, tr.Trunc.Count())
+		tr.AnalyzeDivFormInto(spec, A, B, signA, signB, nil)
+		return spec
+	}
+	base := divForm(neg(grid), neg(grid2), 1, 1)
+	folded := divForm(grid, grid2, -1, -1)
 	for i := range base {
 		if base[i] != folded[i] {
 			t.Fatalf("sign folding not bit-identical at %d: %v vs %v", i, folded[i], base[i])
 		}
 	}
-	base = tr.AnalyzeDivForm(grid2, neg(grid), 1, 1)
-	folded = tr.AnalyzeDivForm(grid2, grid, 1, -1)
+	base = divForm(grid2, neg(grid), 1, 1)
+	folded = divForm(grid2, grid, 1, -1)
 	for i := range base {
 		if base[i] != folded[i] {
 			t.Fatalf("signB folding not bit-identical at %d", i)
@@ -131,13 +141,16 @@ func TestAnalyzeDivFormSignFolding(t *testing.T) {
 	}
 }
 
-// TestVortDivTendMatchesComposition pins VortDivTend against its defining
-// composition out of AnalyzeDivForm.
+// TestVortDivTendMatchesComposition pins VortDivTendInto against its
+// defining composition out of AnalyzeDivFormInto.
 func TestVortDivTendMatchesComposition(t *testing.T) {
 	tr, A, B, _ := testFields(Rhomboidal(8))
-	vort, div := tr.VortDivTend(A, B)
-	wantVort := tr.AnalyzeDivForm(A, B, -1, -1)
-	wantDiv := tr.AnalyzeDivForm(B, A, 1, -1)
+	cnt := tr.Trunc.Count()
+	vort, div := make([]complex128, cnt), make([]complex128, cnt)
+	tr.VortDivTendInto(vort, div, A, B, nil)
+	wantVort, wantDiv := make([]complex128, cnt), make([]complex128, cnt)
+	tr.AnalyzeDivFormInto(wantVort, A, B, -1, -1, nil)
+	tr.AnalyzeDivFormInto(wantDiv, B, A, 1, -1, nil)
 	for i := range vort {
 		if vort[i] != wantVort[i] || div[i] != wantDiv[i] {
 			t.Fatalf("VortDivTend differs from composition at %d", i)
