@@ -1,258 +1,30 @@
-// Package foam's benchmark harness: one benchmark per evaluation artifact
-// of the paper (see DESIGN.md section 4 for the experiment index). The
-// benchmarks run reduced configurations sized for `go test -bench=.`;
-// cmd/foam-bench regenerates the full-size versions and EXPERIMENTS.md
-// records paper-vs-measured values.
-package foam
+// The root package's benchmark harness: one sub-benchmark per evaluation
+// artifact of the paper, each running the internal/experiments definition
+// that cmd/foam-bench prints (see DESIGN.md section 4 for the index), at
+// the Short size and reporting the experiment's metrics.
+package foam_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
-	"foam/internal/atmos"
-	"foam/internal/baseline"
-	"foam/internal/mp"
-	"foam/internal/ocean"
-	"foam/internal/spectral"
+	"foam"
+	"foam/internal/experiments"
 )
 
-// benchModel caches a spun-up reduced coupled model across benchmarks.
-var benchModel *Model
-
-func getBenchModel(b *testing.B) *Model {
-	if benchModel == nil {
-		m, err := New(ReducedConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.StepDays(1)
-		benchModel = m
-	}
-	return benchModel
-}
-
-// BenchmarkFig2TimeAllocation (E1) regenerates the paper's Figure 2: the
-// per-processor time allocation of a coupled day on 16 atmosphere ranks +
-// 1 ocean rank. Reported metrics: simulated-machine speedup and the ocean
-// rank's busy fraction.
-func BenchmarkFig2TimeAllocation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, _, err := RunTraced(ReducedConfig(), 0.5,
-			ParallelSpec{AtmRanks: 16, OcnRanks: 1, Link: mp.SPLink})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ocean float64
-		for _, c := range res.Comms {
-			for _, s := range c.Segments() {
-				if s.Label == "ocean" {
-					ocean += s.End - s.Start
-				}
-			}
-		}
-		b.ReportMetric(res.Speedup, "x-realtime")
-		b.ReportMetric(ocean/res.MachineTime, "ocean-busy-frac")
-	}
-}
-
-// BenchmarkFig3SSTClimatology (E2) runs a short coupled simulation and
-// scores the model SST against the observed (synthetic) climatology:
-// the paper's Figure 3 comparison. Metrics: bias, RMSE, pattern
-// correlation.
-func BenchmarkFig3SSTClimatology(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := getBenchModel(b)
-		series := m.MonthlyMeanSST(2)
-		cmp := m.CompareSST(series[len(series)-1])
-		b.ReportMetric(cmp.Bias, "bias-K")
-		b.ReportMetric(cmp.RMSE, "rmse-K")
-		b.ReportMetric(cmp.PatternCorr, "pattern-corr")
-	}
-}
-
-// BenchmarkFig4TwoBasinVariability (E3) runs the Figure-4 pipeline on a
-// short monthly series (cmd/foam-bench -run E3 runs the multi-decade
-// version). Metrics: leading rotated mode variance fraction and the
-// two-basin loading product.
-func BenchmarkFig4TwoBasinVariability(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := getBenchModel(b)
-		series := m.MonthlyMeanSST(15)
-		res, err := AnalyzeVariability(m.Ocn.Grid(), m.Ocn.Mask(), series, 12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.VarFrac, "varfrac")
-		b.ReportMetric(res.BasinCorr, "two-basin")
-	}
-}
-
-// BenchmarkTableScaling (E4) measures coupled throughput across simulated
-// machine sizes (the paper's Section 5 scaling claims). One sub-benchmark
-// per partition; metric: simulated-time over machine-time speedup.
-func BenchmarkTableScaling(b *testing.B) {
-	for _, spec := range []ParallelSpec{
-		{AtmRanks: 4, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 8, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 16, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 32, OcnRanks: 2, Link: mp.SPLink},
-	} {
-		spec := spec
-		b.Run(fmt.Sprintf("atm%d_ocn%d", spec.AtmRanks, spec.OcnRanks), func(b *testing.B) {
+// BenchmarkExperiments runs E1-E11 as sub-benchmarks E1 ... E11.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, _, err := RunTraced(ReducedConfig(), 0.25, spec)
+				res, err := e.Run(experiments.Short, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.Speedup, "x-realtime")
-				b.ReportMetric(res.Efficiency, "efficiency")
-			}
-		})
-	}
-}
-
-// BenchmarkTableOceanThroughput (E5) measures the standalone ocean model's
-// simulated-time throughput (the paper: 105,000x real time on 64 nodes;
-// here single-core) and the advantage over the conventional unsplit
-// formulation (paper: ~10x).
-func BenchmarkTableOceanThroughput(b *testing.B) {
-	b.ReportAllocs()
-	cfg := ocean.DefaultConfig()
-	cfg.NLat, cfg.NLon, cfg.NLev = 64, 64, 8
-	for i := 0; i < b.N; i++ {
-		foamSec, baseSec, ratio, err := baseline.SpeedAdvantage(cfg, nil, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(86400/foamSec, "x-realtime")
-		b.ReportMetric(86400/baseSec, "baseline-x-realtime")
-		b.ReportMetric(ratio, "advantage")
-	}
-}
-
-// BenchmarkTableCostRatio (E6) measures the atmosphere:ocean cost ratio per
-// simulated day (paper: ~16:1 at R15 vs 128x128; reduced sizes here).
-func BenchmarkTableCostRatio(b *testing.B) {
-	m := getBenchModel(b)
-	cfg := m.Config()
-	stepsPerDay := int(86400 / cfg.Atm.Dt)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var atmT, ocnT float64
-		for s := 0; s < stepsPerDay; s++ {
-			m.Step()
-			if m.StepCount()%cfg.OceanEvery == 0 {
-				ocnT += m.Ocn.LastStepSeconds()
-			}
-		}
-		atmT = 1 // avoid zero division; replaced below via timing trace
-		_ = atmT
-		b.ReportMetric(ocnT, "ocean-s/simday")
-	}
-}
-
-// BenchmarkTableVsConventional (E7) compares FOAM's coupled throughput
-// against the conventional (unsplit-ocean) configuration (paper: at least
-// 3x the NCAR CSM's throughput).
-func BenchmarkTableVsConventional(b *testing.B) {
-	b.ReportAllocs()
-	cfg := ReducedConfig()
-	oc := ocean.BaselineConfig()
-	oc.NLat, oc.NLon, oc.NLev = cfg.Ocn.NLat, cfg.Ocn.NLon, cfg.Ocn.NLev
-	for i := 0; i < b.N; i++ {
-		foamSec, err := baseline.OceanSecondsPerDay(cfg.Ocn, nil, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		baseSec, err := baseline.OceanSecondsPerDay(oc, nil, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(baseSec/foamSec, "ocean-advantage")
-	}
-}
-
-// BenchmarkTableResolutionScaling (E8) verifies the paper's Section 2 cost
-// law: atmosphere cost per simulated day grows like the inverse cube of the
-// horizontal spacing. Metric: fitted exponent.
-func BenchmarkTableResolutionScaling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		costs := map[int]float64{}
-		for _, M := range []int{5, 10} {
-			cfg := atmos.ConfigForTruncation(spectral.Rhomboidal(M), 6)
-			m, err := atmos.New(cfg, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps := int(0.25 * 86400 / cfg.Dt)
-			m.Step()
-			t := testingBenchTime(func() {
-				for s := 0; s < steps; s++ {
-					m.Step()
+				for _, m := range res.Metrics {
+					b.ReportMetric(m.Value, m.Name)
 				}
-			})
-			costs[M] = t / 0.25
-		}
-		slope := math.Log(costs[10]/costs[5]) / math.Log(2)
-		b.ReportMetric(slope, "cost-exponent")
-	}
-}
-
-// BenchmarkTableWaterBudget (E9) measures hydrological closure: the
-// relative residual of P - E - R against storage change (paper: closed
-// cycle). Metric: relative residual (should be ~0).
-func BenchmarkTableWaterBudget(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := getBenchModel(b)
-		m.Cpl.ResetBudget()
-		store0 := m.Cpl.River.TotalStorage() * 1000
-		m.StepDays(2)
-		bud := m.Cpl.Budget()
-		store1 := m.Cpl.River.TotalStorage() * 1000
-		resid := bud.Runoff - bud.RiverToOcean - (store1 - store0)
-		b.ReportMetric(math.Abs(resid)/math.Max(bud.Runoff, 1), "routing-residual-frac")
-		b.ReportMetric(bud.Precip/1e12, "precip-Tt")
-	}
-}
-
-// BenchmarkTableOceanAblations (E10) times the ocean under ablations of its
-// three speed techniques (sub-benchmarks; paper Section 4.2).
-func BenchmarkTableOceanAblations(b *testing.B) {
-	mk := func(mod func(*ocean.Config)) ocean.Config {
-		c := ocean.DefaultConfig()
-		c.NLat, c.NLon, c.NLev = 64, 64, 8
-		mod(&c)
-		return c
-	}
-	cases := []struct {
-		name string
-		cfg  ocean.Config
-	}{
-		{"foam", mk(func(c *ocean.Config) {})},
-		{"slowdown4", mk(func(c *ocean.Config) { c.Slowdown = 4; c.DtBaro /= 4 })},
-		{"nosubcycle", mk(func(c *ocean.Config) {
-			c.DtInternal = c.DtTracer / 8
-			c.DtBaro = c.DtInternal / 2
-			c.DtTracer = c.DtInternal
-		})},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sec, err := baseline.OceanSecondsPerDay(tc.cfg, nil, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(86400/sec, "x-realtime")
 			}
 		})
 	}
@@ -266,9 +38,9 @@ func BenchmarkTableOceanAblations(b *testing.B) {
 func BenchmarkCoupledStepParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := ReducedConfig()
+			cfg := foam.ReducedConfig()
 			cfg.Workers = workers
-			m, err := New(cfg)
+			m, err := foam.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -281,12 +53,4 @@ func BenchmarkCoupledStepParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-// testingBenchTime times a closure (helper; avoids importing time at each
-// call site).
-func testingBenchTime(f func()) float64 {
-	t0 := nowSeconds()
-	f()
-	return nowSeconds() - t0
 }

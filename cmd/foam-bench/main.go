@@ -1,7 +1,7 @@
 // Command foam-bench regenerates every evaluation artifact of the paper —
-// Figures 2, 3 and 4 and the Section 4-5 performance claims — from the
-// FOAM-Go reproduction. See DESIGN.md section 4 for the experiment index
-// and EXPERIMENTS.md for recorded results.
+// Figures 2, 3 and 4 and the Section 2-6 claims — by printing the report of
+// each experiment defined in internal/experiments. See DESIGN.md section 4
+// for the experiment index and EXPERIMENTS.md for recorded results.
 //
 // Usage:
 //
@@ -15,25 +15,17 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"foam"
-	"foam/internal/atmos"
-	"foam/internal/baseline"
-	"foam/internal/diag"
-	"foam/internal/mp"
-	"foam/internal/ocean"
-	"foam/internal/spectral"
+	"foam/internal/experiments"
 )
 
-var workers = flag.Int("workers", 1, "shared-memory worker pool size for coupled runs (0 = all CPUs, 1 = serial); bit-identical for any value")
-
 func main() {
+	workers := flag.Int("workers", 1, "shared-memory worker pool size for coupled runs (0 = all CPUs, 1 = serial); bit-identical for any value")
 	runList := flag.String("run", "E1,E2,E3,E4,E5,E6,E7,E8,E9,E10,E11", "comma-separated experiment ids")
 	full := flag.Bool("full", false, "use the paper's full configuration (much slower)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
@@ -91,416 +83,21 @@ func main() {
 	for _, id := range strings.Split(*runList, ",") {
 		want[strings.TrimSpace(strings.ToUpper(id))] = true
 	}
-	exps := []struct {
-		id   string
-		name string
-		fn   func(full bool)
-	}{
-		{"E1", "Figure 2: per-processor time allocation", runE1},
-		{"E2", "Figure 3: annual-mean SST vs climatology", runE2},
-		{"E3", "Figure 4: two-basin low-frequency variability", runE3},
-		{"E4", "Section 5: coupled throughput and scaling", runE4},
-		{"E5", "Section 4.2: ocean throughput vs conventional baseline", runE5},
-		{"E6", "Section 5: atmosphere/ocean cost ratio", runE6},
-		{"E7", "Section 5: FOAM vs conventional coupled model", runE7},
-		{"E8", "Section 2: cost vs resolution (inverse-cube law)", runE8},
-		{"E9", "Section 4.3: closed hydrological cycle", runE9},
-		{"E10", "Section 4.2: ocean speed-technique ablations", runE10},
-		{"E11", "Section 6: CCM2 vs CCM3 physics (tropical Pacific)", runE11},
+	size := experiments.Reduced
+	if *full {
+		size = experiments.Full
 	}
-	for _, e := range exps {
-		if !want[e.id] {
+	for _, e := range experiments.All {
+		if !want[e.ID] {
 			continue
 		}
-		fmt.Printf("\n================ %s — %s ================\n", e.id, e.name)
+		fmt.Printf("\n================ %s — %s ================\n", e.ID, e.Title)
 		t0 := time.Now()
-		e.fn(*full)
-		fmt.Printf("[%s completed in %v]\n", e.id, time.Since(t0).Round(time.Millisecond))
-	}
-}
-
-func cfgFor(full bool) foam.Config {
-	cfg := foam.ReducedConfig()
-	if full {
-		cfg = foam.DefaultConfig()
-	}
-	cfg.Workers = *workers
-	return cfg
-}
-
-// E1 — Figure 2: trace one simulated day on 16+1 and 32+2 ranks; the ocean
-// keeps up with 16 atmosphere ranks but not with 32 (in the paper's cost
-// ratio; our measured ratio is reported alongside).
-func runE1(full bool) {
-	cfg := cfgFor(full)
-	for _, spec := range []foam.ParallelSpec{
-		{AtmRanks: 16, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 32, OcnRanks: 2, Link: mp.SPLink},
-	} {
-		res, _, err := foam.RunTraced(cfg, 1.0, spec)
-		if err != nil {
+		if res, err := e.Run(size, *workers); err != nil {
 			fmt.Println("error:", err)
-			return
-		}
-		fmt.Printf("\n--- %d atm + %d ocn ranks: speedup %.0fx, efficiency %.2f ---\n",
-			spec.AtmRanks, spec.OcnRanks, res.Speedup, res.Efficiency)
-		diag.Gantt(os.Stdout, res.Comms, 100)
-		diag.PrintSegmentTable(os.Stdout, res.Comms)
-		// The paper's claim: does the ocean rank finish before the
-		// atmosphere needs it?
-		tot := diag.SegmentTotals(res.Comms)
-		fmt.Printf("ocean busy %.3fs vs machine time %.3fs (ocean %s)\n",
-			tot["ocean"]/float64(spec.OcnRanks), res.MachineTime,
-			ternary(tot["ocean"]/float64(spec.OcnRanks) < 0.95*res.MachineTime,
-				"keeps up", "is the bottleneck"))
-	}
-}
-
-// E2 — Figure 3: run and compare the model's annual-mean SST against the
-// synthetic observed climatology.
-func runE2(full bool) {
-	cfg := cfgFor(full)
-	m, err := foam.New(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	months := 12
-	if full {
-		months = 24
-	}
-	fmt.Printf("running %d simulated months for the annual mean...\n", months)
-	series := m.MonthlyMeanSST(months)
-	n := len(series[0])
-	ann := make([]float64, n)
-	for _, row := range series[len(series)-12:] {
-		for c, v := range row {
-			ann[c] += v / 12
-		}
-	}
-	cmp := m.CompareSST(ann)
-	fmt.Printf("global bias:          %+.2f K\n", cmp.Bias)
-	fmt.Printf("RMSE:                 %.2f K\n", cmp.RMSE)
-	fmt.Printf("pattern correlation:  %.3f\n", cmp.PatternCorr)
-	diag.AsciiMap(os.Stdout, m.Ocn.Grid(), cmp.Model, cmp.OceanMask, 96, "\n(a) model annual-mean SST")
-	diag.AsciiMap(os.Stdout, m.Ocn.Grid(), cmp.Observed, cmp.OceanMask, 96, "\n(b) observed climatology (synthetic stand-in)")
-	diag.AsciiMap(os.Stdout, m.Ocn.Grid(), cmp.Difference, cmp.OceanMask, 96, "\n(c) model minus observed")
-}
-
-// E3 — Figure 4: variability analysis of a long monthly SST series.
-func runE3(full bool) {
-	cfg := cfgFor(full)
-	months := 60
-	if full {
-		months = 240
-	}
-	m, err := foam.New(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("running %d simulated months...\n", months)
-	series := m.MonthlyMeanSST(months)
-	res, err := foam.AnalyzeVariability(m.Ocn.Grid(), m.Ocn.Mask(), series, 60)
-	if err != nil {
-		fmt.Println("analysis:", err)
-		return
-	}
-	fmt.Printf("leading rotated EOF explains %.1f%% of low-passed variance (paper: ~15%%)\n", 100*res.VarFrac)
-	fmt.Printf("two-basin loading product: %+.2f (paper: positive, N.Atlantic with N.Pacific)\n", res.BasinCorr)
-	mask := make([]bool, len(m.Ocn.Mask()))
-	for c, v := range m.Ocn.Mask() {
-		mask[c] = v > 0
-	}
-	diag.AsciiMap(os.Stdout, m.Ocn.Grid(), res.Pattern, mask, 96, "\n(a) spatial pattern")
-}
-
-// E4 — coupled throughput table across machine sizes.
-func runE4(full bool) {
-	cfg := cfgFor(full)
-	days := 0.5
-	if full {
-		days = 1
-	}
-	specs := []foam.ParallelSpec{
-		{AtmRanks: 4, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 8, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 16, OcnRanks: 1, Link: mp.SPLink},
-		{AtmRanks: 32, OcnRanks: 2, Link: mp.SPLink},
-		{AtmRanks: 64, OcnRanks: 2, Link: mp.SPLink},
-	}
-	fmt.Printf("%6s %6s %6s %12s %12s %10s\n", "nodes", "atm", "ocn", "speedup", "sim-days/day", "efficiency")
-	base := 0.0
-	for _, spec := range specs {
-		res, _, err := foam.RunTraced(cfg, days, spec)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		if base <= 0 {
-			base = res.Speedup / float64(spec.AtmRanks+spec.OcnRanks)
-		}
-		fmt.Printf("%6d %6d %6d %11.0fx %12.1f %9.2f\n",
-			spec.AtmRanks+spec.OcnRanks, spec.AtmRanks, spec.OcnRanks,
-			res.Speedup, res.Speedup*86400/86400, res.Efficiency)
-	}
-	fmt.Println("(paper: near-linear over 8/16/32 atmosphere ranks; collapse when the")
-	fmt.Println(" latitude-pair decomposition runs out — visible here as falling efficiency)")
-}
-
-// E5 — standalone ocean throughput and the conventional-baseline ratio.
-func runE5(full bool) {
-	cfg := ocean.DefaultConfig()
-	if !full {
-		cfg.NLat, cfg.NLon, cfg.NLev = 64, 64, 8
-	}
-	var kmt []int
-	foamSec, baseSec, ratio, err := baseline.SpeedAdvantage(cfg, kmt, 3)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("grid %dx%dx%d\n", cfg.NLat, cfg.NLon, cfg.NLev)
-	fmt.Printf("FOAM formulation:          %8.3f s per simulated day => %8.0fx real time (1 core)\n",
-		foamSec, 86400/foamSec)
-	fmt.Printf("conventional (unsplit):    %8.3f s per simulated day => %8.0fx real time (1 core)\n",
-		baseSec, 86400/baseSec)
-	fmt.Printf("computation-per-simulated-time advantage: %.1fx (paper: ~10x)\n", ratio)
-}
-
-// E6 — atmosphere vs ocean cost per simulated day (paper: ~16:1). Always
-// uses the paper's full R15 + 128x128 configuration: the ratio is the claim.
-func runE6(full bool) {
-	cfg := foam.DefaultConfig()
-	cfg.Workers = *workers
-	m, err := foam.New(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	// Warm up.
-	m.StepDays(0.25)
-	stepsPerDay := int(86400 / cfg.Atm.Dt)
-	t0 := time.Now()
-	m.Atm.EnableCostTrace()
-	var atmT, ocnT float64
-	for s := 0; s < stepsPerDay; s++ {
-		ta := time.Now()
-		m.Step()
-		dt := time.Since(ta).Seconds()
-		if (m.StepCount())%cfg.OceanEvery == 0 {
-			ocnT += m.Ocn.LastStepSeconds()
-			atmT += dt - m.Ocn.LastStepSeconds()
 		} else {
-			atmT += dt
+			os.Stdout.Write(res.Report.Bytes())
 		}
+		fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	_ = t0
-	fmt.Printf("atmosphere: %.3f s per simulated day\n", atmT)
-	fmt.Printf("ocean:      %.3f s per simulated day\n", ocnT)
-	fmt.Printf("ratio:      %.1f : 1  (paper: ~16:1 for R15 vs 128x128)\n", atmT/ocnT)
-}
-
-// E7 — FOAM vs a conventional coupled configuration.
-func runE7(full bool) {
-	cfg := cfgFor(full)
-	m, err := foam.New(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	m.StepDays(0.25)
-	t0 := time.Now()
-	m.StepDays(0.5)
-	foamSec := time.Since(t0).Seconds() * 2
-
-	// Conventional ocean at the same resolution inside the same harness.
-	oc := ocean.BaselineConfig()
-	oc.NLat, oc.NLon, oc.NLev = cfg.Ocn.NLat, cfg.Ocn.NLon, cfg.Ocn.NLev
-	oc.LatSouth, oc.LatNorth = cfg.Ocn.LatSouth, cfg.Ocn.LatNorth
-	baseOcnSec, err := baseline.OceanSecondsPerDay(oc, nil, 3)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	// The conventional coupled model pays the same atmosphere plus the
-	// unsplit ocean.
-	atmSec := foamSec // FOAM cost is nearly all atmosphere
-	convSec := atmSec + baseOcnSec
-	fmt.Printf("FOAM coupled:          %8.2f s per simulated day => %7.0fx real time (1 core)\n",
-		foamSec, 86400/foamSec)
-	fmt.Printf("conventional coupled:  %8.2f s per simulated day => %7.0fx real time (1 core)\n",
-		convSec, 86400/convSec)
-	fmt.Printf("throughput advantage: %.1fx (paper: >= 3x vs NCAR CSM)\n", convSec/foamSec)
-}
-
-// E8 — atmosphere cost across truncations; fit the power law.
-func runE8(full bool) {
-	truncs := []int{5, 8, 10, 15}
-	days := 0.5
-	type pt struct{ dx, cost float64 }
-	var pts []pt
-	fmt.Printf("%6s %10s %10s %14s\n", "trunc", "grid", "dt(s)", "s/sim-day")
-	for _, M := range truncs {
-		cfg := atmos.ConfigForTruncation(spectral.Rhomboidal(M), 8)
-		cfg.Adiabatic = false
-		m, err := atmos.New(cfg, nil)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		steps := int(days * 86400 / cfg.Dt)
-		m.Step() // warm up
-		t0 := time.Now()
-		for s := 0; s < steps; s++ {
-			m.Step()
-		}
-		cost := time.Since(t0).Seconds() / days
-		fmt.Printf("R%-5d %6dx%-3d %10.0f %14.2f\n", M, cfg.NLat, cfg.NLon, cfg.Dt, cost)
-		pts = append(pts, pt{dx: 1 / float64(M), cost: cost})
-	}
-	// log-log slope between R5 and R15.
-	slope := math.Log(pts[len(pts)-1].cost/pts[0].cost) /
-		math.Log(pts[0].dx/pts[len(pts)-1].dx)
-	fmt.Printf("fitted exponent: cost ~ (spacing)^-%.2f (paper: inverse cube)\n", slope)
-}
-
-// E9 — hydrological closure (also a unit test; here with numbers printed).
-func runE9(full bool) {
-	cfg := cfgFor(full)
-	m, err := foam.New(cfg)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	m.StepDays(2)
-	m.Cpl.ResetBudget()
-	store0 := m.Cpl.River.TotalStorage() * 1000
-	m.StepDays(5)
-	b := m.Cpl.Budget()
-	store1 := m.Cpl.River.TotalStorage() * 1000
-	fmt.Printf("precipitation on land:  %12.4e kg\n", b.Precip)
-	fmt.Printf("evaporation from land:  %12.4e kg\n", b.Evap)
-	fmt.Printf("runoff to rivers:       %12.4e kg\n", b.Runoff)
-	fmt.Printf("river inflow to ocean:  %12.4e kg\n", b.RiverToOcean)
-	resid := b.Runoff - b.RiverToOcean - (store1 - store0)
-	fmt.Printf("routing residual:       %12.4e kg (%.4f%% of runoff)\n", resid, 100*resid/math.Max(b.Runoff, 1))
-}
-
-// E10 — ablate the ocean's three speed techniques.
-func runE10(full bool) {
-	base := ocean.DefaultConfig()
-	if !full {
-		base.NLat, base.NLon, base.NLev = 64, 64, 8
-	}
-	type variant struct {
-		name string
-		mod  func(*ocean.Config)
-	}
-	variants := []variant{
-		{"FOAM (split, slowdown 16, subcycled)", func(c *ocean.Config) {}},
-		{"slowdown 4", func(c *ocean.Config) {
-			c.Slowdown = 4
-			c.DtBaro = c.DtBaro / 4
-		}},
-		{"no subcycling (internal = tracer step)", func(c *ocean.Config) {
-			c.DtInternal = c.DtTracer / 8
-			c.DtBaro = c.DtInternal / 2
-			c.DtTracer = c.DtInternal // everything at the short step
-		}},
-		{"unsplit + physical gravity (baseline)", func(c *ocean.Config) {
-			*c = ocean.BaselineConfig()
-			c.NLat, c.NLon, c.NLev = base.NLat, base.NLon, base.NLev
-		}},
-	}
-	fmt.Printf("%-42s %14s %12s\n", "variant", "s/sim-day", "x realtime")
-	for _, v := range variants {
-		cfg := base
-		v.mod(&cfg)
-		sec, err := baseline.OceanSecondsPerDay(cfg, nil, 3)
-		if err != nil {
-			fmt.Printf("%-42s error: %v\n", v.name, err)
-			continue
-		}
-		fmt.Printf("%-42s %14.3f %12.0f\n", v.name, sec, 86400/sec)
-	}
-}
-
-// E11 — the paper's Section 6 story: swapping CCM2 moisture physics for
-// CCM3 "vastly improved" the tropical Pacific. Run both physics versions
-// and compare the tropical-Pacific SST error against the climatology.
-func runE11(full bool) {
-	months := 6
-	if full {
-		months = 24
-	}
-	type result struct {
-		name               string
-		bias, rmse, corr   float64
-		warmPoolColdTongue float64
-	}
-	var results []result
-	for _, phys := range []atmos.PhysicsVersion{atmos.PhysicsCCM2, atmos.PhysicsCCM3} {
-		cfg := cfgFor(full)
-		cfg.Atm.Physics = phys
-		m, err := foam.New(cfg)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		series := m.MonthlyMeanSST(months)
-		ann := series[len(series)-1]
-		// Tropical Pacific box metrics.
-		g := m.Ocn.Grid()
-		var wpSum, wpW, ctSum, ctW float64
-		var berr, brms, bw float64
-		obs := m.CompareSST(ann)
-		for j := 0; j < g.NLat(); j++ {
-			latD := g.Lats[j] * 180 / math.Pi
-			if latD < -15 || latD > 15 {
-				continue
-			}
-			for i := 0; i < g.NLon(); i++ {
-				lonD := g.Lons[i] * 180 / math.Pi
-				if lonD > 180 {
-					lonD -= 360
-				}
-				c := g.Index(j, i)
-				if !obs.OceanMask[c] {
-					continue
-				}
-				a := g.Area(j, i)
-				if lonD > 120 && lonD < 170 { // warm pool
-					wpSum += ann[c] * a
-					wpW += a
-				}
-				if lonD > -140 && lonD < -90 { // cold tongue
-					ctSum += ann[c] * a
-					ctW += a
-				}
-				d := ann[c] - obs.Observed[c]
-				berr += d * a
-				brms += d * d * a
-				bw += a
-			}
-		}
-		results = append(results, result{
-			name: phys.String(),
-			bias: berr / bw, rmse: math.Sqrt(brms / bw), corr: obs.PatternCorr,
-			warmPoolColdTongue: wpSum/math.Max(wpW, 1) - ctSum/math.Max(ctW, 1),
-		})
-	}
-	fmt.Printf("%-6s %12s %12s %14s %22s\n", "phys", "trop bias K", "trop RMSE K", "global corr", "warmpool-coldtongue K")
-	for _, r := range results {
-		fmt.Printf("%-6s %12.2f %12.2f %14.3f %22.2f\n", r.name, r.bias, r.rmse, r.corr, r.warmPoolColdTongue)
-	}
-	fmt.Println("(paper: CCM3 moisture physics vastly improved the tropical Pacific;")
-	fmt.Println(" observed warm pool - cold tongue contrast is ~4-5 K)")
-}
-
-func ternary(b bool, t, f string) string {
-	if b {
-		return t
-	}
-	return f
 }

@@ -3,6 +3,7 @@ package atmos
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"foam/internal/pool"
 	"foam/internal/spectral"
@@ -559,8 +560,46 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
+// CheckSnapshot returns an error unless s has this model's level counts
+// and field lengths, so Restore neither truncates nor overruns a field. It
+// compares lengths only.
+func (m *Model) CheckSnapshot(s *Snapshot) error {
+	p := m.phy
+	for _, f := range []struct {
+		name      string
+		got, want []int
+	}{
+		{"VortC", shape(s.VortC), shape(m.cur.vort)},
+		{"DivC", shape(s.DivC), shape(m.cur.div)},
+		{"TempC", shape(s.TempC), shape(m.cur.temp)},
+		{"VortO", shape(s.VortO), shape(m.old.vort)},
+		{"DivO", shape(s.DivO), shape(m.old.div)},
+		{"TempO", shape(s.TempO), shape(m.old.temp)},
+		{"Q", shape(s.Q), shape(m.q)},
+		{"QR", shape(s.QR), shape(p.qr)},
+		{"LnpsC/LnpsO", []int{len(s.LnpsC), len(s.LnpsO)}, []int{len(m.cur.lnps), len(m.old.lnps)}},
+		{"SWDn/LWDn/Rain/Snow/ExTSurf/ExAlbedo",
+			[]int{len(s.SWDn), len(s.LWDn), len(s.Rain), len(s.Snow), len(s.ExTSurf), len(s.ExAlbedo)},
+			[]int{len(p.swdn), len(p.lwdn), len(p.rain), len(p.snow), len(p.lastEx.TSurf), len(p.lastEx.Albedo)}},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			return fmt.Errorf("atmos: snapshot %s shape %v, model %v", f.name, f.got, f.want)
+		}
+	}
+	return nil
+}
+
+// shape is a 2-D field's level count followed by each level's length.
+func shape[T any](a [][]T) []int {
+	s := []int{len(a)}
+	for _, row := range a {
+		s = append(s, len(row))
+	}
+	return s
+}
+
 // Restore installs a checkpoint previously produced by Snapshot on a model
-// with the identical configuration.
+// with the identical configuration (see CheckSnapshot).
 func (m *Model) Restore(s *Snapshot) {
 	m.step = s.Step
 	for k := range m.cur.vort {

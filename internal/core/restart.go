@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"foam/internal/atmos"
 	"foam/internal/ocean"
@@ -79,10 +80,16 @@ func (m *Model) Checkpoint() *Checkpoint {
 
 // Restore installs a checkpoint onto a freshly constructed model with the
 // same configuration and re-phases the executor, so the next Step replays
-// exactly the op sequence the original run would have executed.
+// exactly the op sequence the original run would have executed. A
+// checkpoint of another shape (a different configuration's level counts or
+// grids) is refused with an error wrapping ErrConfig before anything is
+// written, leaving the model untouched.
 func (m *Model) Restore(c *Checkpoint) error {
 	if c.Atm == nil || c.Ocn == nil {
 		return fmt.Errorf("core: incomplete checkpoint")
+	}
+	if err := m.checkFits(c); err != nil {
+		return fmt.Errorf("%w: checkpoint does not fit this model: %v", ErrConfig, err)
 	}
 	if err := m.ocnC.RestoreSnapshot(c.Ocn); err != nil {
 		return err
@@ -113,6 +120,36 @@ func (m *Model) Restore(c *Checkpoint) error {
 	}
 	m.step = c.Step
 	m.ex.Seek(c.Step)
+	return nil
+}
+
+// checkFits compares the checkpoint's step counters, level counts and
+// slice lengths against the live model without copying any state.
+func (m *Model) checkFits(c *Checkpoint) error {
+	if c.Step < 0 || c.AccSteps < 0 {
+		return fmt.Errorf("negative step count (step %d, accumulated %d)", c.Step, c.AccSteps)
+	}
+	if err := m.Ocn.CheckSnapshot(c.Ocn); err != nil {
+		return err
+	}
+	if err := m.Atm.CheckSnapshot(c.Atm); err != nil {
+		return err
+	}
+	cp := m.Cpl
+	got := []int{len(c.LandT), len(c.LandWater), len(c.LandSnow), len(c.RiverVol), len(c.IceThick), len(c.IceTSurf)}
+	want := []int{len(cp.Land.T), len(cp.Land.Water), len(cp.Land.Snow), len(cp.River.Volume), len(cp.Ice.Thick), len(cp.Ice.TSurf)}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("LandT/LandWater/LandSnow/RiverVol/IceThick/IceTSurf shape %v, model %v", got, want)
+	}
+	// The accumulators and the coupler mirror may be nil (older checkpoints).
+	nOcn, nAtm := cp.OcnGrid.Size(), cp.AtmGrid.Size()
+	got = []int{len(c.AccTauX), len(c.AccTauY), len(c.AccHeat), len(c.AccFW), len(c.AccRunoff), len(c.CplSST), len(c.CplIceForm)}
+	want = []int{nOcn, nOcn, nOcn, nOcn, nAtm, nOcn, nOcn}
+	for i := range got {
+		if got[i] != 0 && got[i] != want[i] {
+			return fmt.Errorf("AccTauX/AccTauY/AccHeat/AccFW/AccRunoff/CplSST/CplIceForm shape %v, model %v (or nil)", got, want)
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 )
@@ -71,5 +72,55 @@ func TestCheckpointRejectsIncomplete(t *testing.T) {
 	}
 	if err := m.Restore(&Checkpoint{}); err == nil {
 		t.Fatal("expected error for empty checkpoint")
+	}
+}
+
+// TestRestoreRefusesOtherConfig: a checkpoint from another configuration
+// (reduced onto paper-size and the reverse), or one with a negative step
+// that the next Step would index the program with, is refused with an
+// error wrapping ErrConfig — no panic, no truncating copy — and the target
+// model is left exactly as it was.
+func TestRestoreRefusesOtherConfig(t *testing.T) {
+	reduced, err := New(ReducedConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reduced.Close()
+	full, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	reduced.Step()
+	full.Step()
+
+	save := func(m *Model) []byte {
+		var buf bytes.Buffer
+		if err := m.Checkpoint().Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	negative := reduced.Checkpoint()
+	negative.Step = -1
+	for _, tc := range []struct {
+		name string
+		chk  *Checkpoint
+		to   *Model
+	}{
+		{"reduced onto default", reduced.Checkpoint(), full},
+		{"default onto reduced", full.Checkpoint(), reduced},
+		{"negative step", negative, reduced},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := save(tc.to)
+			err := tc.to.Restore(tc.chk)
+			if !errors.Is(err, ErrConfig) {
+				t.Fatalf("Restore = %v, want an error wrapping ErrConfig", err)
+			}
+			if !bytes.Equal(before, save(tc.to)) {
+				t.Fatal("refused restore modified the model")
+			}
+		})
 	}
 }

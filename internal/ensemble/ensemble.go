@@ -29,6 +29,7 @@ package ensemble
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -156,6 +157,10 @@ type Info struct {
 	SimDays     float64 `json:"sim_days"`
 	CoupleEvery int     `json:"couple_every"`
 	OceanLag    int     `json:"ocean_lag"`
+	// State is "queued" (an advance waits for a worker), "busy" (an
+	// advance or a read such as diag or snapshot holds the member) or
+	// "idle".
+	State string `json:"state"`
 
 	Advances        int     `json:"advances"`
 	WallSeconds     float64 `json:"wall_seconds"`
@@ -176,6 +181,14 @@ func (m *member) infoLocked() Info {
 		Advances:        m.advances,
 		WallSeconds:     float64(m.wallNs) / 1e9,
 		LastWallSeconds: float64(m.lastNs) / 1e9,
+	}
+	switch {
+	case m.queued:
+		in.State = "queued"
+	case m.busy:
+		in.State = "busy"
+	default:
+		in.State = "idle"
 	}
 	if m.wallNs > 0 {
 		in.StepsPerSecond = float64(m.steps) / (float64(m.wallNs) / 1e9)
@@ -332,6 +345,9 @@ func (s *Scheduler) AdvanceIntervals(id string, k int) (Info, error) {
 	}
 	every := m.cfg.OceanEvery
 	s.mu.Unlock()
+	if k > math.MaxInt/every {
+		return Info{}, fmt.Errorf("%w: advance of %d intervals overflows the step count", ErrInvalid, k)
+	}
 	return s.AdvanceSteps(id, k*every)
 }
 

@@ -93,6 +93,7 @@ func TestHandlerTable(t *testing.T) {
 		{"advance no count", "POST", "/v1/members/" + live.ID + "/advance", `{}`, http.StatusBadRequest},
 		{"advance both counts", "POST", "/v1/members/" + live.ID + "/advance", `{"steps":1,"intervals":1}`, http.StatusBadRequest},
 		{"advance negative", "POST", "/v1/members/" + live.ID + "/advance", `{"steps":-4}`, http.StatusBadRequest},
+		{"advance overflowing intervals", "POST", "/v1/members/" + live.ID + "/advance", `{"intervals":4611686018427387905}`, http.StatusBadRequest},
 		{"diag unknown", "GET", "/v1/members/m9999/diag", "", http.StatusNotFound},
 		{"sst unknown", "GET", "/v1/members/m9999/sst", "", http.StatusNotFound},
 		{"snapshot unknown", "POST", "/v1/members/m9999/snapshot", "", http.StatusNotFound},
@@ -164,14 +165,11 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 		steps = 3 * m.CoupleEvery
 	}
 
-	// One attempt: fire a long advance from a goroutine and poll the same
-	// member with 1-step advances until one of them draws a 409 while the
-	// long advance is in flight. The long advance gives a window of hundreds
-	// of milliseconds against ~1ms polls, but the entry race can go the
-	// other way — a poll lands first and the LONG advance draws the 409 —
-	// so the caller retries the whole attempt. Polls run synchronously on
-	// this goroutine, so when a poll sees 409 the only other in-flight
-	// advance is the long one: it must complete with 200.
+	// One attempt: fire a long advance from a goroutine, poll the member's
+	// info (a read that does not hold the member) until it reports the
+	// advance queued or busy, then send a second advance. The second one
+	// can only see 200 if the long advance finished in between — hundreds
+	// of milliseconds against one poll — and then the attempt is retried.
 	attempt := func() bool {
 		first := make(chan int, 1)
 		go func() {
@@ -185,26 +183,35 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 			first <- resp.StatusCode
 		}()
 		for {
+			var info ensemble.Info
+			if code := doJSON(t, srv, "GET", "/v1/members/"+m.ID, "", &info); code != http.StatusOK {
+				t.Fatalf("info: status %d", code)
+			}
+			if info.State != "idle" {
+				break
+			}
 			select {
 			case code := <-first:
-				if code != http.StatusOK && code != http.StatusConflict {
+				if code != http.StatusOK {
 					t.Fatalf("long advance: status %d", code)
 				}
-				return false // lost the entry race or finished unobserved; retry
+				return false // finished before a poll saw it in flight
 			default:
-				switch code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil); code {
-				case http.StatusConflict:
-					if c := <-first; c != http.StatusOK {
-						t.Fatalf("long advance: status %d", c)
-					}
-					return true
-				case http.StatusOK:
-					// Poll slipped in before the long advance queued.
-				default:
-					t.Fatalf("concurrent advance: unexpected status %d", code)
-				}
-				time.Sleep(time.Millisecond)
 			}
+			time.Sleep(time.Millisecond)
+		}
+		code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil)
+		if c := <-first; c != http.StatusOK {
+			t.Fatalf("long advance: status %d", c)
+		}
+		switch code {
+		case http.StatusConflict:
+			return true
+		case http.StatusOK:
+			return false // the long advance finished before this one arrived
+		default:
+			t.Fatalf("concurrent advance: unexpected status %d", code)
+			return false
 		}
 	}
 
@@ -216,8 +223,9 @@ func TestHandlerConcurrentAdvance(t *testing.T) {
 		t.Fatal("never observed a 409 for a concurrent advance on the same member")
 	}
 	// Afterwards the member advances normally again.
-	if code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, nil); code != http.StatusOK {
-		t.Fatalf("post-conflict advance: status %d", code)
+	var info ensemble.Info
+	if code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/advance", `{"steps":1}`, &info); code != http.StatusOK || info.State != "idle" {
+		t.Fatalf("post-conflict advance: status %d state %q", code, info.State)
 	}
 }
 
@@ -300,6 +308,28 @@ func TestHandlerScenarios(t *testing.T) {
 	}
 	if st.TableSets != 1 {
 		t.Fatalf("stats: %d table sets, want 1 (r5-quick shares the reduced tables)", st.TableSets)
+	}
+}
+
+// TestHandlerResumeOtherScenario: a paper-foam snapshot POSTed to the
+// r5-quick scenario does not fit its grids, so the resume is refused with
+// 400 instead of panicking or installing truncated state.
+func TestHandlerResumeOtherScenario(t *testing.T) {
+	srv, _ := newTestServer(t, 1)
+	var m ensemble.Info
+	if code := doJSON(t, srv, "POST", "/v1/scenarios/paper-foam/members", "", &m); code != http.StatusCreated {
+		t.Fatalf("create paper-foam: status %d", code)
+	}
+	var snap ensemble.SnapshotResponse
+	if code := doJSON(t, srv, "POST", "/v1/members/"+m.ID+"/snapshot", "", &snap); code != http.StatusOK {
+		t.Fatalf("snapshot: status %d", code)
+	}
+	body, err := json.Marshal(ensemble.CreateRequest{Checkpoint: snap.Checkpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := doJSON(t, srv, "POST", "/v1/scenarios/r5-quick/members", string(body), nil); code != http.StatusBadRequest {
+		t.Fatalf("paper-foam snapshot onto r5-quick: status %d, want 400", code)
 	}
 }
 

@@ -3,6 +3,7 @@ package ocean
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"foam/internal/pool"
@@ -475,8 +476,44 @@ func (m *Model) Snapshot() *Snapshot {
 	}
 }
 
+// CheckSnapshot returns an error unless s has this model's level counts
+// and field lengths, so Restore neither truncates nor overruns a field.
+// IceFlux may be nil. It compares lengths only.
+func (m *Model) CheckSnapshot(s *Snapshot) error {
+	iceFlux := len(m.iceFlux)
+	if s.IceFlux == nil {
+		iceFlux = 0
+	}
+	for _, f := range []struct {
+		name      string
+		got, want []int
+	}{
+		{"U", shape(s.U), shape(m.u)},
+		{"V", shape(s.V), shape(m.v)},
+		{"T", shape(s.T), shape(m.t)},
+		{"S", shape(s.S), shape(m.s)},
+		{"Eta/Ubt/Vbt/IceFlux",
+			[]int{len(s.Eta), len(s.Ubt), len(s.Vbt), len(s.IceFlux)},
+			[]int{len(m.eta), len(m.ubt), len(m.vbt), iceFlux}},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			return fmt.Errorf("ocean: snapshot %s shape %v, model %v", f.name, f.got, f.want)
+		}
+	}
+	return nil
+}
+
+// shape is a 3-D field's level count followed by each level's length.
+func shape(a [][]float64) []int {
+	s := []int{len(a)}
+	for _, row := range a {
+		s = append(s, len(row))
+	}
+	return s
+}
+
 // Restore installs a checkpoint onto a model with identical configuration
-// and bathymetry.
+// and bathymetry (see CheckSnapshot).
 func (m *Model) Restore(s *Snapshot) {
 	m.step = s.Step
 	for k := range m.u {
